@@ -7,12 +7,12 @@ multiplicatively, an optional grid projection keeps long runs tractable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .distributions import Atomic, Distribution, atomic1d, mixture, push_forward
+from .distributions import Atomic, atomic1d, mixture, push_forward
 from .errors import InvalidInput, NonConvergence
 from .metrics import wasserstein_1d
 

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .envs import LQREnv, lqr_true_params
-from .errors import FdevalError, InvalidInput
+from .errors import FdevalError
 from .harness import build_config, run_experiment, write_reports
 from .suites import run_property_suite
 

@@ -7,7 +7,7 @@ All are immutable values; operations are pure given an explicit RNG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np

@@ -9,7 +9,7 @@ point rather than a simulation.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -193,6 +193,9 @@ def rotation(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+_ROTATIONS = np.array([rotation(angle) for angle in ROTATION_ANGLES])
+
+
 def lqr_collect(env: LQREnv, n: int, rng: np.random.Generator) -> Dataset:
     """n i.i.d. transitions under the 5-rotation behavior policy."""
     if n < 1:
@@ -358,21 +361,26 @@ def estimate_dpi_tabular(
 def estimate_dpi_lqr(env: LQREnv, n_points: int, rng: np.random.Generator):
     """Discounted-occupancy sample for the LQR target policy a = Kx.
 
+    Horizon H ~ Geometric(1 - gamma) on {1, 2, ...}; each point starts from
+    the behavior law (state and rotation action) and follows a = Kx for
+    H - 1 steps.  All points advance together, one step at a time.
+
     Returns (states, actions) arrays of shape (n_points, 2) with uniform
     weights 1/n_points.
     """
     if n_points < 1:
         raise InvalidInput("n_points must be >= 1")
-    xs = np.empty((n_points, 2))
-    acts = np.empty((n_points, 2))
     horizons = rng.geometric(1.0 - env.gamma, size=n_points)
     x0 = behavior_state(rng, n_points)
     angle_idx = rng.integers(0, 5, size=n_points)
-    for i in range(n_points):
-        x = x0[i]
-        a = rotation(ROTATION_ANGLES[angle_idx[i]]) @ x
-        for _ in range(int(horizons[i]) - 1):
-            x = env.a_mat @ x + env.b_mat @ a
-            a = env.k_gain @ x
-        xs[i], acts[i] = x, a
-    return xs, acts
+    # longest horizon first, so the points still moving at step k are a prefix
+    order = np.argsort(-horizons, kind="stable")
+    steps = horizons[order] - 1
+    xs = x0[order]
+    acts = (_ROTATIONS[angle_idx[order]] @ xs[:, :, None])[:, :, 0]
+    for k in range(int(steps[0])):
+        live = np.count_nonzero(steps > k)
+        xs[:live] = xs[:live] @ env.a_mat.T + acts[:live] @ env.b_mat.T
+        acts[:live] = xs[:live] @ env.k_gain.T
+    inverse = np.argsort(order)
+    return xs[inverse], acts[inverse]

@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,7 @@ from .envs import (
     tabular_collect,
     tabular_make_random,
 )
-from .errors import FdevalError, InvalidInput, OptimizationFailure
+from .errors import FdevalError, InvalidInput
 from .evaluation import InaccuracyReport, lqr_inaccuracy, tabular_inaccuracy
 from .fde import (
     FDEConfig,
@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise InvalidInput(f"unknown methods: {sorted(unknown)}")
         if self.experiment == "lqr" and "tvd_mc" in self.methods:
             raise InvalidInput("tvd_mc has no closed-form objective; not runnable on lqr")
+        if self.experiment == "tabular" and self.variance_floor != 0:
+            raise InvalidInput("variance_floor has no effect on the tabular experiment")
 
 
 def divergence_for_method(method: str, config: ExperimentConfig) -> DivergenceSpec:
@@ -141,7 +143,7 @@ def _run_lqr_cell(config: ExperimentConfig, method: str, n: int, rep: int) -> In
         inaccuracy = lqr_inaccuracy(theta, theta_star, dpi_states, dpi_actions, p=1.0)
         t_used = trace.t_used
         failed = False
-    except OptimizationFailure:
+    except FdevalError:
         inaccuracy = math.nan
         t_used = choose_t(n, env.gamma, config.t_params)
         failed = True

@@ -8,8 +8,9 @@ contraction factor of the distributional Bellman operator under the lift.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from .distributions import (
     Atomic,
     Distribution,
     Gaussian1D,
-    GaussianMixture1D,
     atomic1d,
     dist_dim,
     mixture,
@@ -28,10 +28,39 @@ from .divergences import KernelSpec, mmd_squared_atomic
 from .errors import InvalidInput, Unsupported
 
 _GL_ORDER = 4096
-_gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(_GL_ORDER)
-# map from (-1, 1) to (0, 1)
-_GL_U = 0.5 * (_gl_nodes + 1.0)
-_GL_W = 0.5 * _gl_weights
+
+
+@functools.cache
+def _gl_table(order: int = _GL_ORDER):
+    """Gauss-Legendre nodes and weights on (0, 1), built on first use.
+
+    The construction is numpy's ``leggauss``: eigenvalues of the symmetric
+    Jacobi matrix, one Newton step on the roots, then weights from
+    L'_n * L_{n-1}.  The eigenvalues come from the tridiagonal solver, which
+    costs O(order^2) where ``leggauss``'s dense eigensolve costs O(order^3).
+    Returns read-only arrays (u, w).
+    """
+    from numpy.polynomial import legendre
+    from scipy.linalg import eigh_tridiagonal
+
+    k = np.arange(1.0, order)
+    x = eigh_tridiagonal(np.zeros(order), k / np.sqrt(4.0 * k**2 - 1.0), eigvals_only=True)
+    c = np.zeros(order + 1)
+    c[-1] = 1.0
+    df = legendre.legval(x, legendre.legder(c))
+    x -= legendre.legval(x, c) / df
+    fm = legendre.legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1.0 / (fm * df)
+    w = (w + w[::-1]) / 2.0
+    x = (x - x[::-1]) / 2.0
+    w *= 2.0 / w.sum()
+    # map from (-1, 1) to (0, 1)
+    u, w = 0.5 * (x + 1.0), 0.5 * w
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
 
 
 @dataclass(frozen=True)
@@ -145,22 +174,23 @@ def wasserstein_1d(p: float, dist1: Distribution, dist2: Distribution) -> float:
     if isinstance(dist1, Atomic) and isinstance(dist2, Atomic):
         widths, qp, qq = _atomic_quantile_segments(dist1, dist2)
         return float(np.sum(widths * np.abs(qp - qq) ** p) ** (1.0 / p))
-    q1 = _quantile_grid(dist1)
-    q2 = _quantile_grid(dist2)
-    return float(np.sum(_GL_W * np.abs(q1 - q2) ** p) ** (1.0 / p))
+    u, w = _gl_table()
+    q1 = _quantile_grid(dist1, u)
+    q2 = _quantile_grid(dist2, u)
+    return float(np.sum(w * np.abs(q1 - q2) ** p) ** (1.0 / p))
 
 
-def _quantile_grid(dist: Distribution) -> np.ndarray:
+def _quantile_grid(dist: Distribution, u: np.ndarray) -> np.ndarray:
     if isinstance(dist, Gaussian1D):
         from scipy import special
 
-        return dist.mean + dist.std * special.ndtri(_GL_U)
+        return dist.mean + dist.std * special.ndtri(u)
     if isinstance(dist, Atomic):
         zs, ms = _sorted_atoms(dist)
         cum = np.cumsum(ms)
-        idx = np.minimum(np.searchsorted(cum, _GL_U), zs.size - 1)
+        idx = np.minimum(np.searchsorted(cum, u), zs.size - 1)
         return zs[idx]
-    return np.array([quantile_fn(dist, float(u)) for u in _GL_U])
+    return np.array([quantile_fn(dist, float(ui)) for ui in u])
 
 
 def metric_extension(metric: MetricSpec, ext: ExtensionSpec, table1: dict, table2: dict) -> float:

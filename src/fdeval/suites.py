@@ -12,11 +12,10 @@ import math
 import numpy as np
 
 from .bellman import Policy, TabularMDP, apply_bellman, sup_w1, zero_table
-from .distributions import Atomic, GaussianMixture1D, atomic1d
+from .distributions import GaussianMixture1D, atomic1d
 from .divergences import (
     DivergenceSpec,
     KernelSpec,
-    divergence_gaussian,
     divergence_gmm,
     kl_gaussian,
     mmd2_gaussian,

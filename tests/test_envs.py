@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdeval.bellman import Policy
 from fdeval.envs import (
@@ -229,6 +231,43 @@ def test_dpi_lqr_shapes_and_decay():
     assert xs.shape == (2000, 2) and acts.shape == (2000, 2)
     # closed-loop dynamics are stable, so occupancy states stay bounded
     assert np.linalg.norm(xs, axis=1).max() <= 1.5
+
+
+def _estimate_dpi_lqr_loop(env, n_points, rng):
+    """Per-point reference for estimate_dpi_lqr: the same draws, then the
+    closed-loop dynamics run one point at a time."""
+    xs = np.empty((n_points, 2))
+    acts = np.empty((n_points, 2))
+    horizons = rng.geometric(1.0 - env.gamma, size=n_points)
+    x0 = behavior_state(rng, n_points)
+    angle_idx = rng.integers(0, 5, size=n_points)
+    for i in range(n_points):
+        x = x0[i]
+        a = rotation(ROTATION_ANGLES[angle_idx[i]]) @ x
+        for _ in range(int(horizons[i]) - 1):
+            x = env.a_mat @ x + env.b_mat @ a
+            a = env.k_gain @ x
+        xs[i], acts[i] = x, a
+    return xs, acts
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(1, 200),
+    gamma=st.sampled_from((0.99, 0.9, 0.5)),
+)
+@example(seed=0, n_points=1, gamma=0.99)
+@example(seed=1, n_points=2, gamma=0.99)
+@example(seed=2, n_points=1000, gamma=0.99)
+@example(seed=3, n_points=1000, gamma=1e-12)  # every horizon is 1
+def test_dpi_lqr_matches_per_point_loop(seed, n_points, gamma):
+    base = LQREnv.default()
+    env = LQREnv(base.a_mat, base.b_mat, base.q_mat, base.r_mat, base.k_gain, base.sigma0, gamma)
+    xs, acts = estimate_dpi_lqr(env, n_points, np.random.default_rng(seed))
+    ref_xs, ref_acts = _estimate_dpi_lqr_loop(env, n_points, np.random.default_rng(seed))
+    np.testing.assert_allclose(xs, ref_xs, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(acts, ref_acts, rtol=0, atol=1e-12)
 
 
 def test_input_validation():

@@ -30,6 +30,9 @@ def test_config_validation():
         ExperimentConfig(experiment="lqr", methods=("tvd_mc",))
     # tvd_mc is fine for the tabular experiment (fits are divergence-free)
     ExperimentConfig(experiment="tabular", methods=("tvd_mc",))
+    # ... and for the same reason a variance floor would change nothing there
+    with pytest.raises(InvalidInput):
+        ExperimentConfig(experiment="tabular", variance_floor=0.5)
 
 
 def test_small_sweep_and_csv(tmp_path):
@@ -132,6 +135,44 @@ def test_failure_becomes_nan_row(monkeypatch, tmp_path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[1][5] == "nan" and rows[1][7] == "1"
+
+
+def test_any_toolkit_error_fails_only_its_cell(monkeypatch):
+    from fdeval import harness
+    from fdeval.errors import NonConvergence
+
+    real_fde_run = harness.fde_run
+
+    def flaky(data, env, config):
+        if config.divergence.kind == "pdf_l2":
+            raise NonConvergence("forced")
+        return real_fde_run(data, env, config)
+
+    monkeypatch.setattr(harness, "fde_run", flaky)
+    config = ExperimentConfig(methods=("pdf_l2", "kl"), n_list=(60,), reps=1)
+    reports = {r.method: r for r in run_experiment(config)}
+    assert reports["pdf_l2"].failed and np.isnan(reports["pdf_l2"].inaccuracy)
+    assert not reports["kl"].failed and np.isfinite(reports["kl"].inaccuracy)
+
+
+def test_too_few_records_for_t_folds_is_a_failed_row():
+    # at n = 3 the rule asks for T = 5 folds, so split_dataset rejects the data
+    config = ExperimentConfig(methods=("kl",), n_list=(3, 60), reps=1)
+    reports = {r.n: r for r in run_experiment(config)}
+    assert reports[3].failed and np.isnan(reports[3].inaccuracy)
+    assert not reports[60].failed
+
+
+def test_variance_floor_changes_lqr_fits():
+    def inaccuracies(floor):
+        config = ExperimentConfig(
+            methods=("rbf", "fle"), n_list=(60,), reps=1, variance_floor=floor
+        )
+        return {r.method: r.inaccuracy for r in run_experiment(config)}
+
+    plain, floored = inaccuracies(0.0), inaccuracies(20.0)
+    for method in ("rbf", "fle"):
+        assert abs(plain[method] - floored[method]) > 1e-6, method
 
 
 def test_cli_run_lqr_small(tmp_path, capsys):

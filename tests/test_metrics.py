@@ -1,15 +1,22 @@
 """Tests for metrics, table extensions and contraction constants."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import fdeval
 from fdeval.distributions import Gaussian1D, GaussianMixture1D, atomic1d
 from fdeval.divergences import KernelSpec
 from fdeval.errors import InvalidInput
 from fdeval.metrics import (
     ExtensionSpec,
     MetricSpec,
+    _gl_table,
     contraction_factor,
     metric_extension,
     slc_property_check,
@@ -51,6 +58,31 @@ def test_wasserstein_mixed_representations():
     assert wasserstein_1d(1.0, g, a) == pytest.approx(np.sqrt(2 / np.pi), abs=1e-4)
     gmm = GaussianMixture1D(((1.0, 0.0, 1.0),))
     assert wasserstein_1d(1.0, gmm, g) == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("order", [1, 2, 64, 512])
+def test_gl_table_matches_leggauss(order):
+    u, w = _gl_table(order)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    np.testing.assert_allclose(u, 0.5 * (nodes + 1.0), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(w, 0.5 * weights, rtol=1e-8, atol=0)
+
+
+def test_gl_table_integrates_polynomials_exactly():
+    u, w = _gl_table()
+    assert u.size == w.size == 4096
+    assert not (u.flags.writeable or w.flags.writeable)
+    for k in range(21):
+        assert np.sum(w * u**k) == pytest.approx(1.0 / (k + 1), abs=1e-12)
+
+
+def test_import_builds_no_quadrature_table():
+    env = dict(os.environ, PYTHONPATH=str(Path(fdeval.__file__).resolve().parents[1]))
+    code = "import fdeval, fdeval.metrics as m; print(m._gl_table.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"
 
 
 def test_metric_spec_default_constants():
