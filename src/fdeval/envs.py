@@ -193,7 +193,13 @@ def rotation(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-_ROTATIONS = np.array([rotation(angle) for angle in ROTATION_ANGLES])
+def behavior_action(xs: np.ndarray, angle_idx: np.ndarray) -> np.ndarray:
+    """Rotate each state xs[i] by ROTATION_ANGLES[angle_idx[i]]."""
+    acts = np.empty_like(xs)
+    for k, angle in enumerate(ROTATION_ANGLES):
+        mask = angle_idx == k
+        acts[mask] = xs[mask] @ rotation(angle).T
+    return acts
 
 
 def lqr_collect(env: LQREnv, n: int, rng: np.random.Generator) -> Dataset:
@@ -202,10 +208,7 @@ def lqr_collect(env: LQREnv, n: int, rng: np.random.Generator) -> Dataset:
         raise InvalidInput("n must be >= 1")
     xs = behavior_state(rng, n)
     angle_idx = rng.integers(0, 5, size=n)
-    acts = np.empty_like(xs)
-    for k, angle in enumerate(ROTATION_ANGLES):
-        mask = angle_idx == k
-        acts[mask] = xs[mask] @ rotation(angle).T
+    acts = behavior_action(xs, angle_idx)
     rewards = (
         np.einsum("ni,ij,nj->n", xs, env.q_mat, xs)
         + np.einsum("ni,ij,nj->n", acts, env.r_mat, acts)
@@ -377,7 +380,7 @@ def estimate_dpi_lqr(env: LQREnv, n_points: int, rng: np.random.Generator):
     order = np.argsort(-horizons, kind="stable")
     steps = horizons[order] - 1
     xs = x0[order]
-    acts = (_ROTATIONS[angle_idx[order]] @ xs[:, :, None])[:, :, 0]
+    acts = behavior_action(xs, angle_idx[order])
     for k in range(int(steps[0])):
         live = np.count_nonzero(steps > k)
         xs[:live] = xs[:live] @ env.a_mat.T + acts[:live] @ env.b_mat.T

@@ -100,21 +100,16 @@ def split_dataset(data: Dataset, t: int) -> list:
 
 
 class _FoldProblem:
-    """Precomputed design for one fold: model means are linear in theta.
+    """Precomputed design for one fold: model means are linear in theta."""
 
-    ``variance_floor`` is added to the model and the target variance, as
-    ``divergences.divergence_gaussian`` does.
-    """
-
-    def __init__(self, fold: Dataset, env: LQREnv, theta_prev: LQRTheta,
-                 variance_floor: float = 0.0):
+    def __init__(self, fold: Dataset, env: LQREnv, theta_prev: LQRTheta):
         self.features = quadratic_features(fold.states, fold.actions)
         next_actions = fold.next_states @ env.k_gain.T
         self.target_means = fold.rewards + env.gamma * theta_prev.mean_batch(
             fold.next_states, next_actions
         )
-        self.model_var = env.return_variance + variance_floor
-        self.target_var = env.gamma**2 * env.return_variance + variance_floor
+        self.model_var = env.return_variance
+        self.target_var = env.gamma**2 * env.return_variance
 
     def model_means(self, theta_vec: np.ndarray) -> np.ndarray:
         return self.features @ theta_vec
@@ -151,7 +146,7 @@ def fde_objective(
     fold: Dataset, theta: LQRTheta, theta_prev: LQRTheta, env: LQREnv, spec: DivergenceSpec
 ) -> float:
     """Mean divergence between the model Gaussian and the backup Gaussian."""
-    problem = _FoldProblem(fold, env, theta_prev, spec.variance_floor)
+    problem = _FoldProblem(fold, env, theta_prev)
     vec = theta.to_vector()
     if not np.all(np.isfinite(vec)):
         raise InvalidInput("theta has non-finite entries")
@@ -256,7 +251,7 @@ def fde_run(data: Dataset, env: LQREnv, config: FDEConfig):
     folds = split_dataset(data, t)
 
     def step(fold, start, theta_prev, iteration):
-        problem = _FoldProblem(fold, env, theta_prev, config.divergence.variance_floor)
+        problem = _FoldProblem(fold, env, theta_prev)
         start_obj = float(
             np.mean(
                 _per_term_divergence(
@@ -277,18 +272,17 @@ def fle_run(data: Dataset, env: LQREnv, config: FDEConfig, rng: np.random.Genera
 
     Per iteration, each transition contributes ``mc_samples`` draws
     z' ~ N(backup mean, gamma^2 * return variance), fixed for the whole fold
-    fit; the objective is the mean Gaussian negative log-likelihood.  The
-    divergence's variance floor is added to both variances, as in ``fde_run``.
+    fit; the objective is the mean Gaussian negative log-likelihood.
     """
     if mc_samples < 1:
         raise InvalidInput("mc_samples must be >= 1")
     t = _resolve_t(data, env, config)
     folds = split_dataset(data, t)
+    model_var = env.return_variance
+    log_norm = 0.5 * math.log(2.0 * math.pi * model_var)
 
     def step(fold, start, theta_prev, iteration):
-        problem = _FoldProblem(fold, env, theta_prev, config.divergence.variance_floor)
-        model_var = problem.model_var
-        log_norm = 0.5 * math.log(2.0 * math.pi * model_var)
+        problem = _FoldProblem(fold, env, theta_prev)
         draws = rng.normal(
             loc=np.repeat(problem.target_means, mc_samples),
             scale=math.sqrt(problem.target_var),

@@ -66,7 +66,6 @@ class ExperimentConfig:
     master_seed: int = 0
     sigma_rbf: float = 1.0
     sigma_lap: float = 1.0
-    variance_floor: float = 0.0
     b_samples: int = 1
     t_params: TSelectionParams = field(default_factory=TSelectionParams)
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
@@ -87,26 +86,25 @@ class ExperimentConfig:
             raise InvalidInput(f"unknown methods: {sorted(unknown)}")
         if self.experiment == "lqr" and "tvd_mc" in self.methods:
             raise InvalidInput("tvd_mc has no closed-form objective; not runnable on lqr")
-        if self.experiment == "tabular" and self.variance_floor != 0:
-            raise InvalidInput("variance_floor has no effect on the tabular experiment")
+        if self.b_samples < 1:
+            raise InvalidInput("b_samples must be >= 1")
 
 
 def divergence_for_method(method: str, config: ExperimentConfig) -> DivergenceSpec:
-    vf = config.variance_floor
     if method == "cramer":
-        return DivergenceSpec("cramer", variance_floor=vf)
+        return DivergenceSpec("cramer")
     if method == "energy":
-        return DivergenceSpec("mmd", kernel=KernelSpec("energy", beta=1.0), variance_floor=vf)
+        return DivergenceSpec("mmd", kernel=KernelSpec("energy", beta=1.0))
     if method == "rbf":
-        return DivergenceSpec("mmd", kernel=KernelSpec("rbf", sigma=config.sigma_rbf), variance_floor=vf)
+        return DivergenceSpec("mmd", kernel=KernelSpec("rbf", sigma=config.sigma_rbf))
     if method == "laplace":
-        return DivergenceSpec("mmd", kernel=KernelSpec("laplace", sigma=config.sigma_lap), variance_floor=vf)
+        return DivergenceSpec("mmd", kernel=KernelSpec("laplace", sigma=config.sigma_lap))
     if method == "pdf_l2":
-        return DivergenceSpec("pdf_l2", variance_floor=vf)
+        return DivergenceSpec("pdf_l2")
     if method in ("kl", "fle"):
-        return DivergenceSpec("kl", variance_floor=vf)
+        return DivergenceSpec("kl")
     if method == "tvd_mc":
-        return DivergenceSpec("tvd_mc", variance_floor=vf)
+        return DivergenceSpec("tvd_mc")
     raise InvalidInput(f"unknown method {method!r}")
 
 
@@ -251,12 +249,27 @@ def _config_dict(config: ExperimentConfig) -> dict:
     return out
 
 
+_CONFIG_FILE_KEYS = {
+    "experiment": {"kind", "methods", "n", "reps", "seed", "workers", "dpi_points", "out"},
+    "divergence": {"sigma_rbf", "sigma_lap", "b"},
+    "t_selection": {"l", "delta", "c", "q", "alpha", "c_divide"},
+    "optimizer": {"max_evals", "gradient_mode", "fd_step", "tolerance"},
+}
+
+
 def load_config_file(path: str) -> dict:
-    """Read a key = value config file into override kwargs for ExperimentConfig."""
+    """Read a key = value config file into override kwargs for ExperimentConfig.
+
+    A section or key that nothing reads is rejected rather than ignored.
+    """
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise InvalidInput(f"cannot read config file {path!r}")
+    for name in parser.sections():
+        unknown = set(parser[name]) - _CONFIG_FILE_KEYS.get(name, set())
+        if name not in _CONFIG_FILE_KEYS or unknown:
+            raise InvalidInput(f"unknown config file section or keys: [{name}] {sorted(unknown)}")
     out = {}
     if parser.has_section("experiment"):
         sec = parser["experiment"]
@@ -273,12 +286,9 @@ def load_config_file(path: str) -> dict:
             out["output_path"] = sec["out"]
     if parser.has_section("divergence"):
         sec = parser["divergence"]
-        for key, target in (
-            ("sigma_rbf", "sigma_rbf"), ("sigma_lap", "sigma_lap"),
-            ("variance_floor", "variance_floor"),
-        ):
+        for key in ("sigma_rbf", "sigma_lap"):
             if key in sec:
-                out[target] = float(sec[key])
+                out[key] = float(sec[key])
         if "b" in sec:
             out["b_samples"] = int(sec["b"])
     if parser.has_section("t_selection"):

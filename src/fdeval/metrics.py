@@ -31,33 +31,15 @@ _GL_ORDER = 4096
 
 
 @functools.cache
-def _gl_table(order: int = _GL_ORDER):
+def _gl_table():
     """Gauss-Legendre nodes and weights on (0, 1), built on first use.
 
-    The construction is numpy's ``leggauss``: eigenvalues of the symmetric
-    Jacobi matrix, one Newton step on the roots, then weights from
-    L'_n * L_{n-1}.  The eigenvalues come from the tridiagonal solver, which
-    costs O(order^2) where ``leggauss``'s dense eigensolve costs O(order^3).
-    Returns read-only arrays (u, w).
+    ``leggauss`` of this order is a dense eigensolve costing seconds, so it
+    runs only when a non-atomic pair reaches ``wasserstein_1d``.
     """
-    from numpy.polynomial import legendre
-    from scipy.linalg import eigh_tridiagonal
-
-    k = np.arange(1.0, order)
-    x = eigh_tridiagonal(np.zeros(order), k / np.sqrt(4.0 * k**2 - 1.0), eigvals_only=True)
-    c = np.zeros(order + 1)
-    c[-1] = 1.0
-    df = legendre.legval(x, legendre.legder(c))
-    x -= legendre.legval(x, c) / df
-    fm = legendre.legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1.0 / (fm * df)
-    w = (w + w[::-1]) / 2.0
-    x = (x - x[::-1]) / 2.0
-    w *= 2.0 / w.sum()
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
     # map from (-1, 1) to (0, 1)
-    u, w = 0.5 * (x + 1.0), 0.5 * w
+    u, w = 0.5 * (nodes + 1.0), 0.5 * weights
     u.setflags(write=False)
     w.setflags(write=False)
     return u, w

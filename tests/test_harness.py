@@ -30,9 +30,9 @@ def test_config_validation():
         ExperimentConfig(experiment="lqr", methods=("tvd_mc",))
     # tvd_mc is fine for the tabular experiment (fits are divergence-free)
     ExperimentConfig(experiment="tabular", methods=("tvd_mc",))
-    # ... and for the same reason a variance floor would change nothing there
+    # b_samples is used by every fle cell alike, so it is checked up front
     with pytest.raises(InvalidInput):
-        ExperimentConfig(experiment="tabular", variance_floor=0.5)
+        ExperimentConfig(b_samples=0)
 
 
 def test_small_sweep_and_csv(tmp_path):
@@ -118,6 +118,25 @@ def test_config_file_errors(tmp_path):
         load_config_file(str(tmp_path / "missing.ini"))
     with pytest.raises(InvalidInput):
         build_config(None, not_a_field=3)
+    for body in (
+        "[divergence]\nvariance_floor = 0.5\n",  # a key that nothing reads
+        "[experiment]\nkind = lqr\n[extra]\n",  # a section that nothing reads
+    ):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(body)
+        with pytest.raises(InvalidInput):
+            build_config(str(cfg))
+
+
+def test_cli_rejects_b_zero_before_running(tmp_path, capsys):
+    cfg = tmp_path / "b0.ini"
+    cfg.write_text("[divergence]\nb = 0\n")
+    out = tmp_path / "b0.csv"
+    code = main(["run-lqr", "--config", str(cfg), "--methods", "fle", "--n", "60",
+                 "--reps", "1", "--out", str(out)])
+    assert code == 1
+    assert "b_samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failure_becomes_nan_row(monkeypatch, tmp_path):
@@ -161,18 +180,6 @@ def test_too_few_records_for_t_folds_is_a_failed_row():
     reports = {r.n: r for r in run_experiment(config)}
     assert reports[3].failed and np.isnan(reports[3].inaccuracy)
     assert not reports[60].failed
-
-
-def test_variance_floor_changes_lqr_fits():
-    def inaccuracies(floor):
-        config = ExperimentConfig(
-            methods=("rbf", "fle"), n_list=(60,), reps=1, variance_floor=floor
-        )
-        return {r.method: r.inaccuracy for r in run_experiment(config)}
-
-    plain, floored = inaccuracies(0.0), inaccuracies(20.0)
-    for method in ("rbf", "fle"):
-        assert abs(plain[method] - floored[method]) > 1e-6, method
 
 
 def test_cli_run_lqr_small(tmp_path, capsys):

@@ -60,14 +60,6 @@ def test_wasserstein_mixed_representations():
     assert wasserstein_1d(1.0, gmm, g) == pytest.approx(0.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("order", [1, 2, 64, 512])
-def test_gl_table_matches_leggauss(order):
-    u, w = _gl_table(order)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    np.testing.assert_allclose(u, 0.5 * (nodes + 1.0), rtol=0, atol=1e-14)
-    np.testing.assert_allclose(w, 0.5 * weights, rtol=1e-8, atol=0)
-
-
 def test_gl_table_integrates_polynomials_exactly():
     u, w = _gl_table()
     assert u.size == w.size == 4096
