@@ -152,21 +152,47 @@ def kl_gaussian(mu1, var1, mu2, var2):
 _ENERGY1 = KernelSpec("energy", beta=1.0)
 
 
+def _mmd_kernel(spec: DivergenceSpec):
+    """Kernel and weight of the MMD kinds; 1-D identity: squared Cramer is
+    half of the squared energy MMD."""
+    if spec.kind == "cramer":
+        return _ENERGY1, 0.5
+    return spec.kernel, 1.0
+
+
+def closed_form_gaussian(spec: DivergenceSpec, mu1, var1, mu2, var2):
+    """d(model N(mu1, var1), target N(mu2, var2)) by closed form, vectorized.
+
+    The KL kind evaluates KL(target || model).
+    """
+    if spec.kind in ("mmd", "cramer"):
+        kernel, weight = _mmd_kernel(spec)
+        return weight * mmd2_gaussian(kernel, mu1, var1, mu2, var2)
+    if spec.kind == "pdf_l2":
+        return pdf_l2_gaussian(mu1, var1, mu2, var2)
+    if spec.kind == "kl":
+        return kl_gaussian(mu2, var2, mu1, var1)
+    raise Unsupported(f"no Gaussian closed form for kind {spec.kind!r}")
+
+
+def closed_form_gaussian_dmu1(spec: DivergenceSpec, mu1, var1, mu2, var2):
+    """d/dmu1 of closed_form_gaussian: the derivative in the model mean."""
+    delta = np.asarray(mu1, dtype=float) - np.asarray(mu2, dtype=float)
+    s = np.asarray(var1, dtype=float) + np.asarray(var2, dtype=float)
+    if spec.kind in ("mmd", "cramer"):
+        kernel, weight = _mmd_kernel(spec)
+        return -2.0 * weight * gaussian_k0_dmu(kernel, delta, s)
+    if spec.kind == "pdf_l2":
+        return 2.0 * delta / (s * np.sqrt(2.0 * math.pi * s)) * np.exp(-(delta**2) / (2.0 * s))
+    if spec.kind == "kl":
+        return delta / var1
+    raise Unsupported(f"no Gaussian closed form for kind {spec.kind!r}")
+
+
 def divergence_gaussian(spec: DivergenceSpec, p: Gaussian1D, q: Gaussian1D) -> float:
     """d(model P, target Q) for single Gaussians, by closed form."""
     vf = spec.variance_floor
-    v1, v2 = p.variance + vf, q.variance + vf
-    if spec.kind == "mmd":
-        val = mmd2_gaussian(spec.kernel, p.mean, v1, q.mean, v2)
-    elif spec.kind == "cramer":
-        # 1-D identity: squared Cramer = half of the squared Energy MMD
-        val = 0.5 * mmd2_gaussian(_ENERGY1, p.mean, v1, q.mean, v2)
-    elif spec.kind == "pdf_l2":
-        val = pdf_l2_gaussian(p.mean, v1, q.mean, v2)
-    elif spec.kind == "kl":
-        val = kl_gaussian(q.mean, v2, p.mean, v1)
-    else:
-        raise Unsupported(f"no Gaussian closed form for kind {spec.kind!r}")
+    val = closed_form_gaussian(spec, p.mean, p.variance + vf, q.mean, q.variance + vf)
     return max(float(val), 0.0)
 
 
@@ -186,10 +212,10 @@ def divergence_gmm(
     w2, m2, v2 = q.weights, q.means, q.variances + vf
 
     if spec.kind in ("mmd", "cramer"):
-        kernel = spec.kernel if spec.kind == "mmd" else _ENERGY1
-        val = _pairwise_quadratic(lambda dm, sv: gaussian_k0(kernel, dm, sv), w1, m1, v1, w2, m2, v2)
-        if spec.kind == "cramer":
-            val *= 0.5
+        kernel, weight = _mmd_kernel(spec)
+        val = weight * _pairwise_quadratic(
+            lambda dm, sv: gaussian_k0(kernel, dm, sv), w1, m1, v1, w2, m2, v2
+        )
         return max(float(val), 0.0)
     if spec.kind == "pdf_l2":
         val = _pairwise_quadratic(_gauss_conv_density, w1, m1, v1, w2, m2, v2)

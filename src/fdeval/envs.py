@@ -8,7 +8,6 @@ point rather than a simulation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -142,10 +141,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.rewards)
 
-    @property
-    def is_tabular(self) -> bool:
-        return self.states.ndim == 1
-
     def slice(self, start: int, stop: int) -> "Dataset":
         return Dataset(
             self.states[start:stop],
@@ -153,33 +148,6 @@ class Dataset:
             self.rewards[start:stop],
             self.next_states[start:stop],
         )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if self.is_tabular:
-                writer.writerow(["s", "a", "r", "sp"])
-                for s, a, r, sp in zip(self.states, self.actions, self.rewards, self.next_states):
-                    writer.writerow([int(s), int(a), repr(float(r)), int(sp)])
-            else:
-                writer.writerow(["s_0", "s_1", "a_0", "a_1", "r", "sp_0", "sp_1"])
-                for s, a, r, sp in zip(self.states, self.actions, self.rewards, self.next_states):
-                    writer.writerow(
-                        [repr(float(v)) for v in (s[0], s[1], a[0], a[1], r, sp[0], sp[1])]
-                    )
-
-    @classmethod
-    def from_csv(cls, path) -> "Dataset":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, body = rows[0], rows[1:]
-        if header == ["s", "a", "r", "sp"]:
-            arr = np.array([[float(v) for v in row] for row in body])
-            return cls(
-                arr[:, 0].astype(int), arr[:, 1].astype(int), arr[:, 2], arr[:, 3].astype(int)
-            )
-        arr = np.array([[float(v) for v in row] for row in body])
-        return cls(arr[:, 0:2], arr[:, 2:4], arr[:, 4], arr[:, 5:7])
 
 
 def behavior_state(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -286,12 +254,12 @@ def lqr_mc_returns(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Monte-Carlo discounted returns; dynamics are deterministic, so only
-    the reward noise is simulated per trajectory."""
+    the reward noise is random.  Its discounted sum over the horizon is
+    exactly N(0, sigma0^2 (1 - gamma^(2H)) / (1 - gamma^2)), drawn once per
+    trajectory."""
     base = lqr_rollout_return_mean(env, x0, a0, horizon)
-    noise = np.zeros(n_traj)
-    for t in range(horizon):
-        noise += env.gamma**t * rng.normal(0.0, env.sigma0, size=n_traj)
-    return base + noise
+    sd = env.sigma0 * np.sqrt((1.0 - env.gamma ** (2 * horizon)) / (1.0 - env.gamma**2))
+    return base + rng.normal(0.0, sd, size=n_traj)
 
 
 def tabular_make_random(

@@ -79,8 +79,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in ("lqr", "tabular"):
             raise InvalidInput(f"unknown experiment {self.experiment!r}")
-        if self.reps < 1 or not self.n_list or self.workers < 1:
-            raise InvalidInput("reps and workers must be >= 1 and n_list nonempty")
+        if self.reps < 1 or not self.n_list or min(self.n_list) < 1 or self.workers < 1:
+            raise InvalidInput("reps, workers and every n must be >= 1, n_list nonempty")
         unknown = set(self.methods) - set(ALL_METHODS)
         if not self.methods or unknown:
             raise InvalidInput(f"unknown methods: {sorted(unknown)}")
@@ -128,25 +128,19 @@ def _run_lqr_cell(config: ExperimentConfig, method: str, n: int, rep: int) -> In
         t_params=config.t_params,
         optimizer=config.optimizer,
     )
-    seed_int = _data_seed_int(config, rep, n)
     start = time.perf_counter()
-    try:
-        if method == "fle":
-            method_rng = np.random.default_rng(
-                _cell_seed(config, rep, n, _TAG_METHOD, LQR_METHODS.index(method))
-            )
-            theta, trace = fle_run(data, env, fde_config, method_rng, mc_samples=config.b_samples)
-        else:
-            theta, trace = fde_run(data, env, fde_config)
-        inaccuracy = lqr_inaccuracy(theta, theta_star, dpi_states, dpi_actions, p=1.0)
-        t_used = trace.t_used
-        failed = False
-    except FdevalError:
-        inaccuracy = math.nan
-        t_used = choose_t(n, env.gamma, config.t_params)
-        failed = True
+    if method == "fle":
+        method_rng = np.random.default_rng(
+            _cell_seed(config, rep, n, _TAG_METHOD, LQR_METHODS.index(method))
+        )
+        theta, trace = fle_run(data, env, fde_config, method_rng, mc_samples=config.b_samples)
+    else:
+        theta, trace = fde_run(data, env, fde_config)
+    inaccuracy = lqr_inaccuracy(theta, theta_star, dpi_states, dpi_actions, p=1.0)
     runtime_ms = 1000.0 * (time.perf_counter() - start)
-    return InaccuracyReport(method, n, rep, seed_int, t_used, inaccuracy, runtime_ms, failed)
+    return InaccuracyReport(
+        method, n, rep, _data_seed_int(config, rep, n), trace.t_used, inaccuracy, runtime_ms, False
+    )
 
 
 def _tabular_fde(data, mdp, pi, t_count, grid=1e-3):
@@ -195,10 +189,20 @@ def _run_tabular_cell(config: ExperimentConfig, method: str, n: int, rep: int) -
 
 
 def _run_cell(args):
+    """One cell's report; any toolkit error becomes a failed NaN row whose
+    runtime covers the whole cell, so one bad cell never aborts the sweep."""
     config, method, n, rep = args
-    if config.experiment == "lqr":
-        return _run_lqr_cell(config, method, n, rep)
-    return _run_tabular_cell(config, method, n, rep)
+    lqr = config.experiment == "lqr"
+    start = time.perf_counter()
+    try:
+        return (_run_lqr_cell if lqr else _run_tabular_cell)(config, method, n, rep)
+    except FdevalError:
+        gamma = LQREnv.default().gamma if lqr else config.tabular_gamma
+        runtime_ms = 1000.0 * (time.perf_counter() - start)
+        return InaccuracyReport(
+            method, n, rep, _data_seed_int(config, rep, n),
+            choose_t(n, gamma, config.t_params), math.nan, runtime_ms, True,
+        )
 
 
 def run_experiment(config: ExperimentConfig) -> list:
@@ -253,7 +257,7 @@ _CONFIG_FILE_KEYS = {
     "experiment": {"kind", "methods", "n", "reps", "seed", "workers", "dpi_points", "out"},
     "divergence": {"sigma_rbf", "sigma_lap", "b"},
     "t_selection": {"l", "delta", "c", "q", "alpha", "c_divide"},
-    "optimizer": {"max_evals", "gradient_mode", "fd_step", "tolerance"},
+    "optimizer": {"max_evals", "tolerance"},
 }
 
 
@@ -304,10 +308,6 @@ def load_config_file(path: str) -> dict:
         kwargs = {}
         if "max_evals" in sec:
             kwargs["max_evals"] = int(sec["max_evals"])
-        if "gradient_mode" in sec:
-            kwargs["gradient_mode"] = sec["gradient_mode"]
-        if "fd_step" in sec:
-            kwargs["fd_step"] = float(sec["fd_step"])
         if "tolerance" in sec:
             kwargs["tolerance"] = float(sec["tolerance"])
         out["optimizer"] = OptimizerSettings(**kwargs)

@@ -16,11 +16,11 @@ from .distributions import GaussianMixture1D, atomic1d
 from .divergences import (
     DivergenceSpec,
     KernelSpec,
+    closed_form_gaussian,
     divergence_gmm,
     kl_gaussian,
     mmd2_gaussian,
     mmd_squared_atomic,
-    pdf_l2_gaussian,
 )
 from .envs import tabular_collect, tabular_make_random
 from .errors import InvalidInput
@@ -258,30 +258,24 @@ def closed_forms_suite(seed: int, pairs: int = 100, mc_n: int = 1_000_000) -> di
     anchor values are checked with tight tolerances.
     """
     rng = np.random.default_rng(seed)
+    # the cramer case carries the energy kernel for its MC oracle only
     cases = {
-        "cramer": ("cramer", _ENERGY1),
-        "energy": ("mmd", _ENERGY1),
-        "rbf": ("mmd", KernelSpec("rbf", sigma=1.0)),
-        "laplace": ("mmd", KernelSpec("laplace", sigma=1.0)),
-        "pdf_l2": ("pdf_l2", None),
-        "kl": ("kl", None),
+        "cramer": DivergenceSpec("cramer", kernel=_ENERGY1),
+        "energy": DivergenceSpec("mmd", kernel=_ENERGY1),
+        "rbf": DivergenceSpec("mmd", kernel=KernelSpec("rbf", sigma=1.0)),
+        "laplace": DivergenceSpec("mmd", kernel=KernelSpec("laplace", sigma=1.0)),
+        "pdf_l2": DivergenceSpec("pdf_l2"),
+        "kl": DivergenceSpec("kl"),
     }
     violations = []
     trials = 0
-    for name, (kind, kernel) in cases.items():
+    for name, spec in cases.items():
         for _ in range(pairs):
             trials += 1
             mu1, mu2 = rng.uniform(-2.0, 2.0, size=2)
             v1, v2 = rng.uniform(0.3, 3.0, size=2)
-            if kind == "mmd":
-                closed = float(mmd2_gaussian(kernel, mu1, v1, mu2, v2))
-            elif kind == "cramer":
-                closed = 0.5 * float(mmd2_gaussian(_ENERGY1, mu1, v1, mu2, v2))
-            elif kind == "pdf_l2":
-                closed = float(pdf_l2_gaussian(mu1, v1, mu2, v2))
-            else:
-                closed = float(kl_gaussian(mu2, v2, mu1, v1))
-            mc, se = _mc_divergence(kind, kernel, mu1, v1, mu2, v2, mc_n, rng)
+            closed = float(closed_form_gaussian(spec, mu1, v1, mu2, v2))
+            mc, se = _mc_divergence(spec.kind, spec.kernel, mu1, v1, mu2, v2, mc_n, rng)
             if abs(closed - mc) > 3.0 * se:
                 violations.append(
                     {"divergence": name, "mu": (mu1, mu2), "var": (v1, v2),

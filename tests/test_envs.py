@@ -166,24 +166,14 @@ def test_mc_returns_mean_and_variance():
     base = lqr_rollout_return_mean(env, x, a, 2000)
     assert returns.mean() == pytest.approx(base, abs=4 * env.return_variance**0.5 / 140)
     assert returns.var() == pytest.approx(env.return_variance, rel=0.05)
-
-
-def test_dataset_csv_roundtrip(tmp_path):
-    env = LQREnv.default()
-    data = lqr_collect(env, 20, np.random.default_rng(10))
-    path = tmp_path / "d.csv"
-    data.to_csv(path)
-    back = Dataset.from_csv(path)
-    np.testing.assert_array_equal(back.states, data.states)
-    np.testing.assert_array_equal(back.rewards, data.rewards)
-
-    mdp = tabular_make_random(2, 2, 2, np.random.default_rng(11))
-    tdata = tabular_collect(mdp, Policy.uniform(2, 2), 15, np.random.default_rng(12))
-    tpath = tmp_path / "t.csv"
-    tdata.to_csv(tpath)
-    tback = Dataset.from_csv(tpath)
-    assert tback.is_tabular
-    np.testing.assert_array_equal(tback.next_states, tdata.next_states)
+    # a short horizon, where the finite-horizon noise variance is far below
+    # the infinite-horizon one: sigma0^2 (1 + gamma^2 + gamma^4)
+    short = lqr_mc_returns(env, x, a, 20_000, 3, np.random.default_rng(9))
+    short_var = env.sigma0**2 * (1.0 + env.gamma**2 + env.gamma**4)
+    assert short.mean() == pytest.approx(
+        lqr_rollout_return_mean(env, x, a, 3), abs=4 * short_var**0.5 / 140
+    )
+    assert short.var() == pytest.approx(short_var, rel=0.05)
 
 
 def test_tabular_collect_frequencies():

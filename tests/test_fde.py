@@ -3,15 +3,24 @@
 import numpy as np
 import pytest
 
-from fdeval.divergences import DivergenceSpec, KernelSpec
-from fdeval.envs import Dataset, LQREnv, LQRTheta, lqr_collect, lqr_true_params, parameter_bellman_map
+from fdeval.divergences import DivergenceSpec, KernelSpec, closed_form_gaussian
+from fdeval.envs import (
+    Dataset,
+    LQREnv,
+    LQRTheta,
+    lqr_collect,
+    lqr_true_params,
+    parameter_bellman_map,
+    quadratic_features,
+)
 from fdeval.errors import InvalidInput, OptimizationFailure
 from fdeval.fde import (
     FDEConfig,
-    OptimizerSettings,
     TSelectionParams,
+    _FoldProblem,
+    _minimize_fold,
+    _objective_and_grad,
     choose_t,
-    fde_objective,
     fde_run,
     fle_run,
     split_dataset,
@@ -70,6 +79,15 @@ def test_split_preserves_order():
     )
 
 
+def _objective(fold, theta, theta_prev, env, spec):
+    """Mean closed-form divergence between the model and the backup Gaussians."""
+    problem = _FoldProblem.from_fold(fold, env, theta_prev)
+    model_means = problem.features @ theta.to_vector()
+    return float(np.mean(closed_form_gaussian(
+        spec, model_means, problem.model_var, problem.target_means, problem.target_var
+    )))
+
+
 def test_objective_kl_anchor():
     """One transition, both thetas zero, reward one: the KL collapses to
     -ln(gamma) because the target variance plus shift equals the model
@@ -79,7 +97,7 @@ def test_objective_kl_anchor():
         np.array([[0.3, -0.2]]), np.array([[0.1, 0.4]]), np.array([1.0]),
         np.array([[0.0, 0.0]]),
     )
-    val = fde_objective(fold, LQRTheta.zero(), LQRTheta.zero(), env, DivergenceSpec("kl"))
+    val = _objective(fold, LQRTheta.zero(), LQRTheta.zero(), env, DivergenceSpec("kl"))
     assert val == pytest.approx(0.0100504, abs=1e-6)
 
 
@@ -96,7 +114,7 @@ def test_objective_positive_under_variance_mismatch():
 
     v = env.return_variance
     floor = pdf_l2_gaussian(0.0, v, 0.0, env.gamma**2 * v)
-    val = fde_objective(fold, LQRTheta.zero(), theta_prev, env, DivergenceSpec("pdf_l2"))
+    val = _objective(fold, LQRTheta.zero(), theta_prev, env, DivergenceSpec("pdf_l2"))
     assert val >= floor - 1e-12 and floor > 0
 
 
@@ -111,8 +129,8 @@ def test_objective_permutation_invariance():
     theta = LQRTheta.from_vector(rng.normal(size=12))
     prev = LQRTheta.from_vector(rng.normal(size=12))
     for spec in CLOSED_FORM_SPECS.values():
-        a = fde_objective(data, theta, prev, env, spec)
-        b = fde_objective(shuffled, theta, prev, env, spec)
+        a = _objective(data, theta, prev, env, spec)
+        b = _objective(shuffled, theta, prev, env, spec)
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -124,16 +142,33 @@ def test_objective_rejects_nonfinite_theta():
         LQRTheta.from_vector(np.where(np.arange(12) == 0, np.nan, bad))
 
 
-@pytest.mark.parametrize("name", sorted(CLOSED_FORM_SPECS))
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_SPECS) + ["fle"])
 def test_analytic_gradient_matches_finite_difference(name):
+    """The analytic gradient against central differences of an independent
+    objective: the closed form itself, or for FLE the Gaussian negative
+    log-likelihood of drawn targets, which the KL fit minimizes."""
     env = LQREnv.default()
     data = _dummy_dataset(30, seed=5)
     rng = np.random.default_rng(6)
-    from fdeval.fde import _FoldProblem, _objective_and_grad
-
-    spec = CLOSED_FORM_SPECS[name]
     prev = LQRTheta.from_vector(rng.normal(scale=0.3, size=12))
-    problem = _FoldProblem(data, env, prev)
+    problem = _FoldProblem.from_fold(data, env, prev)
+    v = problem.model_var
+    if name == "fle":
+        spec = DivergenceSpec("kl")
+        draws = rng.normal(np.repeat(problem.target_means, 3), np.sqrt(problem.target_var))
+        feats = np.repeat(problem.features, 3, axis=0)
+        problem = _FoldProblem(feats, draws, v, problem.target_var)
+
+        def objective(vec):
+            resid = feats @ vec - draws
+            return 0.5 * np.log(2 * np.pi * v) + np.mean(resid**2) / (2 * v)
+    else:
+        spec = CLOSED_FORM_SPECS[name]
+
+        def objective(vec):
+            return np.mean(closed_form_gaussian(
+                spec, problem.features @ vec, v, problem.target_means, problem.target_var
+            ))
     h = 1e-5
     for _ in range(20):
         vec = rng.normal(scale=0.5, size=12)
@@ -141,22 +176,19 @@ def test_analytic_gradient_matches_finite_difference(name):
         for i in rng.choice(12, size=3, replace=False):
             e = np.zeros(12)
             e[i] = h
-            up = _objective_and_grad(problem, spec, vec + e)[0]
-            dn = _objective_and_grad(problem, spec, vec - e)[0]
-            fd = (up - dn) / (2 * h)
+            fd = (objective(vec + e) - objective(vec - e)) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
-@pytest.mark.parametrize("mode", ["finite_difference", "analytic"])
-def test_run_descent_contract_and_trace(mode):
+@pytest.mark.parametrize("method", ["fde", "fle"])
+def test_run_descent_contract_and_trace(method):
     env = LQREnv.default()
     data = _dummy_dataset(200, seed=7)
-    config = FDEConfig(
-        divergence=DivergenceSpec("kl"),
-        explicit_t=4,
-        optimizer=OptimizerSettings(gradient_mode=mode),
-    )
-    theta, trace = fde_run(data, env, config)
+    config = FDEConfig(divergence=DivergenceSpec("kl"), explicit_t=4)
+    if method == "fle":
+        theta, trace = fle_run(data, env, config, np.random.default_rng(8), mc_samples=2)
+    else:
+        theta, trace = fde_run(data, env, config)
     assert trace.t_used == 4
     assert len(trace.objective_values) == 4
     for end, start in zip(trace.objective_values, trace.warm_start_values):
@@ -185,10 +217,7 @@ def test_single_iteration_recovers_bellman_image():
     env = LQREnv.default()
     data = _dummy_dataset(10_000, seed=9)
     target = parameter_bellman_map(env, LQRTheta.zero())
-    config = FDEConfig(
-        divergence=DivergenceSpec("kl"), explicit_t=1,
-        optimizer=OptimizerSettings(gradient_mode="analytic"),
-    )
+    config = FDEConfig(divergence=DivergenceSpec("kl"), explicit_t=1)
     theta, _ = fde_run(data, env, config)
     probe = lqr_collect(env, 4000, np.random.default_rng(10))
     gap = np.abs(
@@ -205,16 +234,10 @@ def test_population_minimizer_consistency(name):
     env = LQREnv.default()
     theta_star = lqr_true_params(env)
     data = _dummy_dataset(100_000, seed=11)
-    config = FDEConfig(
-        divergence=CLOSED_FORM_SPECS[name], explicit_t=1,
-        optimizer=OptimizerSettings(gradient_mode="analytic"),
-    )
-    folds = [data]
-    from fdeval.fde import _FoldProblem, _minimize_fold
-
-    problem = _FoldProblem(data, env, theta_star)
-    vec, _ = _minimize_fold(problem, config.divergence, theta_star.to_vector(),
-                            config.optimizer, 1)
+    config = FDEConfig(divergence=CLOSED_FORM_SPECS[name], explicit_t=1)
+    problem = _FoldProblem.from_fold(data, env, theta_star)
+    vec, _, _ = _minimize_fold(problem, config.divergence, theta_star.to_vector(),
+                               config.optimizer, 1)
     fitted = LQRTheta.from_vector(vec)
     probe = lqr_collect(env, 4000, np.random.default_rng(12))
     gap = np.abs(
@@ -233,6 +256,23 @@ def test_fle_large_b_matches_backup_mean():
     fitted = theta.mean(fold.states[0], fold.actions[0])
     se = env.gamma * np.sqrt(env.return_variance) / 1000.0
     assert fitted == pytest.approx(target, abs=4 * se)
+
+
+@pytest.mark.parametrize("seed", [16, 17, 18])
+def test_fle_matches_least_squares_on_drawn_targets(seed):
+    """One fold from the zero model: the backup means are the rewards, and
+    FLE's fitted means are the least-squares projection of its draws."""
+    env = LQREnv.default()
+    data = _dummy_dataset(200, seed=seed)
+    config = FDEConfig(divergence=DivergenceSpec("kl"), explicit_t=1)
+    theta, _ = fle_run(data, env, config, np.random.default_rng(seed), mc_samples=1)
+    draws = np.random.default_rng(seed).normal(
+        data.rewards, env.gamma * np.sqrt(env.return_variance)
+    )
+    feats = quadratic_features(data.states, data.actions)
+    coef = np.linalg.lstsq(feats, draws, rcond=None)[0]
+    fitted = theta.mean_batch(data.states, data.actions)
+    np.testing.assert_allclose(fitted, feats @ coef, rtol=0, atol=1e-4)
 
 
 def test_fle_rejects_bad_b():

@@ -8,6 +8,7 @@ import pytest
 
 from fdeval.cli import main
 from fdeval.errors import InvalidInput
+from fdeval.fde import TSelectionParams
 from fdeval.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -33,6 +34,8 @@ def test_config_validation():
     # b_samples is used by every fle cell alike, so it is checked up front
     with pytest.raises(InvalidInput):
         ExperimentConfig(b_samples=0)
+    with pytest.raises(InvalidInput):
+        ExperimentConfig(n_list=(60, 0))
 
 
 def test_small_sweep_and_csv(tmp_path):
@@ -99,7 +102,6 @@ def test_config_file_and_flag_precedence(tmp_path):
         "c_divide = 10\n"
         "[optimizer]\n"
         "max_evals = 500\n"
-        "gradient_mode = analytic\n"
     )
     loaded = load_config_file(str(cfg))
     assert loaded["methods"] == ("kl", "pdf_l2")
@@ -121,6 +123,8 @@ def test_config_file_errors(tmp_path):
     for body in (
         "[divergence]\nvariance_floor = 0.5\n",  # a key that nothing reads
         "[experiment]\nkind = lqr\n[extra]\n",  # a section that nothing reads
+        "[optimizer]\ngradient_mode = analytic\n",  # removed: one gradient path
+        "[optimizer]\nfd_step = 1e-5\n",  # removed with finite differences
     ):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(body)
@@ -180,6 +184,19 @@ def test_too_few_records_for_t_folds_is_a_failed_row():
     reports = {r.n: r for r in run_experiment(config)}
     assert reports[3].failed and np.isnan(reports[3].inaccuracy)
     assert not reports[60].failed
+
+
+def test_tabular_error_is_a_failed_row_not_an_abort():
+    # c_divide = 0.01 asks for T = 546 folds of n = 10 records, so
+    # split_dataset rejects the data before any truth solve
+    config = ExperimentConfig(
+        experiment="tabular", methods=("kl", "energy"), n_list=(10,), reps=1,
+        t_params=TSelectionParams(c_divide=0.01),
+    )
+    reports = run_experiment(config)
+    assert len(reports) == 2
+    for r in reports:
+        assert r.failed and np.isnan(r.inaccuracy) and r.t_used == 546
 
 
 def test_cli_run_lqr_small(tmp_path, capsys):
