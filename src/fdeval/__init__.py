@@ -8,17 +8,10 @@ closed-form ground truth, and a seeded experiment harness.
 __version__ = "0.1.0"
 
 from .bellman import Policy, TabularMDP, apply_bellman, solve_return_fixed_point
-from .distributions import Atomic, EmpiricalSample, Gaussian1D, GaussianMixture1D
+from .distributions import Atomic, GaussianMixture1D
 from .divergences import DivergenceSpec, KernelSpec
 from .envs import Dataset, LQREnv, LQRTheta, lqr_collect, lqr_true_params
-from .errors import (
-    DegenerateInput,
-    FdevalError,
-    InvalidInput,
-    NonConvergence,
-    OptimizationFailure,
-    Unsupported,
-)
+from .errors import FdevalError, InvalidInput, NonConvergence, OptimizationFailure, Unsupported
 from .evaluation import InaccuracyReport, lqr_inaccuracy, tabular_inaccuracy
 from .fde import FDEConfig, TSelectionParams, choose_t, fde_run, fle_run, split_dataset
 from .harness import ExperimentConfig, run_experiment, write_reports

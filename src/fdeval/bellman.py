@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import Atomic, atomic1d, mixture, push_forward
+from .distributions import Atomic, mixture, push_forward
 from .errors import InvalidInput, NonConvergence
 from .metrics import wasserstein_1d
 
@@ -74,7 +74,7 @@ ReturnTable = dict  # (s, a) -> Atomic
 
 
 def zero_table(mdp: TabularMDP) -> ReturnTable:
-    return {sa: atomic1d([0.0], [1.0]) for sa in mdp.pairs()}
+    return {sa: Atomic([0.0], [1.0]) for sa in mdp.pairs()}
 
 
 def bellman_backup(r: float, s_next: int, table: ReturnTable, pi: Policy, gamma: float) -> Atomic:
@@ -96,7 +96,7 @@ def compact_atoms(dist: Atomic, merge_tol: float = 1e-12, grid: Optional[float] 
     Grid projection splits each atom's mass between the two nearest grid
     points so that the mean is preserved exactly.
     """
-    locs = dist.locations_1d()
+    locs = dist.locations
     masses = dist.masses
     if grid is not None and grid > 0:
         lo = np.floor(locs / grid)
@@ -118,7 +118,7 @@ def compact_atoms(dist: Atomic, merge_tol: float = 1e-12, grid: Optional[float] 
     masses = np.array(keep_masses)
     nz = masses > 0
     masses = masses[nz] / masses[nz].sum()
-    return atomic1d(np.array(keep_locs)[nz], masses)
+    return Atomic(np.array(keep_locs)[nz], masses)
 
 
 def apply_bellman(

@@ -1,9 +1,9 @@
 """Bregman-type divergences between return distributions.
 
-Closed forms for Gaussian and Gaussian-mixture pairs, plus Monte-Carlo
-kernel estimators for empirical samples.  The argument convention follows
-the objective: ``divergence(spec, model, target)`` where the KL kind
-evaluates KL(target || model).
+Closed forms for Gaussian and Gaussian-mixture pairs, plus the exact kernel
+MMD between atomic measures.  The argument convention follows the objective:
+``divergence(spec, model, target)`` where the KL kind evaluates
+KL(target || model).
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
-from .distributions import Atomic, EmpiricalSample, Gaussian1D, GaussianMixture1D
-from .errors import DegenerateInput, InvalidInput, Unsupported
+from .distributions import Atomic, GaussianMixture1D
+from .errors import InvalidInput, Unsupported
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -25,8 +25,7 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 class KernelSpec:
     """Shift-invariant kernel selector.
 
-    kind: "energy" (beta in (0,2)), "rbf" (sigma > 0), "laplace" (sigma > 0),
-    or "coulomb" (point dimension >= 2 required at call time).
+    kind: "energy" (beta in (0,2)), "rbf" (sigma > 0) or "laplace" (sigma > 0).
     """
 
     kind: str
@@ -34,7 +33,7 @@ class KernelSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("energy", "rbf", "laplace", "coulomb"):
+        if self.kind not in ("energy", "rbf", "laplace"):
             raise InvalidInput(f"unknown kernel kind {self.kind!r}")
         if self.kind == "energy" and not 0 < self.beta < 2:
             raise InvalidInput(f"energy exponent must lie in (0, 2), got {self.beta}")
@@ -44,27 +43,23 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class DivergenceSpec:
-    """Divergence selector with its numerical-stability knobs.
+    """Divergence selector.
 
-    kind: "cramer", "mmd", "pdf_l2", "kl", or "tvd_mc".  ``variance_floor``
-    is added to every mixture component variance before evaluation;
-    ``mc_samples`` is the per-component draw count for the MC kinds.
+    kind: "cramer", "mmd", "pdf_l2" or "kl".  ``mc_samples`` is the
+    per-component draw count of the Monte-Carlo KL between mixtures.
     """
 
     kind: str
     kernel: Optional[KernelSpec] = None
-    variance_floor: float = 0.0
     mc_samples: int = 1000
 
     def __post_init__(self):
-        if self.kind not in ("cramer", "mmd", "pdf_l2", "kl", "tvd_mc"):
+        if self.kind not in ("cramer", "mmd", "pdf_l2", "kl"):
             raise InvalidInput(f"unknown divergence kind {self.kind!r}")
         if self.kind == "mmd" and self.kernel is None:
             raise InvalidInput("mmd divergence needs a kernel")
-        if self.variance_floor < 0:
-            raise InvalidInput("variance floor must be nonnegative")
-        if self.kind in ("kl", "tvd_mc") and self.mc_samples < 1:
-            raise InvalidInput("MC-based divergences need mc_samples >= 1")
+        if self.kind == "kl" and self.mc_samples < 1:
+            raise InvalidInput("the Monte-Carlo KL needs mc_samples >= 1")
 
 
 def gaussian_k0(kernel: KernelSpec, mu: float, var: float):
@@ -90,14 +85,12 @@ def gaussian_k0(kernel: KernelSpec, mu: float, var: float):
     if kernel.kind == "rbf":
         s2 = kernel.sigma**2
         return np.exp(-(mu**2) / (4.0 * s2 + 2.0 * var)) / np.sqrt(1.0 + var / (2.0 * s2))
-    if kernel.kind == "laplace":
-        s = kernel.sigma
-        # log-domain assembly; the exp prefactor overflows for var >> s^2
-        a = var / (2.0 * s**2)
-        return np.exp(a - mu / s + special.log_ndtr(mu / sd - sd / s)) + np.exp(
-            a + mu / s + special.log_ndtr(-mu / sd - sd / s)
-        )
-    raise Unsupported(f"no closed-form K0 for kernel kind {kernel.kind!r}")
+    # laplace, assembled in the log domain: the exp prefactor overflows for var >> s^2
+    s = kernel.sigma
+    a = var / (2.0 * s**2)
+    return np.exp(a - mu / s + special.log_ndtr(mu / sd - sd / s)) + np.exp(
+        a + mu / s + special.log_ndtr(-mu / sd - sd / s)
+    )
 
 
 def gaussian_k0_dmu(kernel: KernelSpec, mu, var):
@@ -111,14 +104,12 @@ def gaussian_k0_dmu(kernel: KernelSpec, mu, var):
     if kernel.kind == "rbf":
         s2 = kernel.sigma**2
         return gaussian_k0(kernel, mu, var) * (-2.0 * mu / (4.0 * s2 + 2.0 * var))
-    if kernel.kind == "laplace":
-        s = kernel.sigma
-        a = var / (2.0 * s**2)
-        # the two Gaussian-density terms of the product rule cancel exactly
-        t1 = np.exp(a - mu / s + special.log_ndtr(mu / sd - sd / s))
-        t2 = np.exp(a + mu / s + special.log_ndtr(-mu / sd - sd / s))
-        return (t2 - t1) / s
-    raise Unsupported(f"no closed-form K0 gradient for kernel {kernel.kind!r}")
+    # laplace: the two Gaussian-density terms of the product rule cancel exactly
+    s = kernel.sigma
+    a = var / (2.0 * s**2)
+    t1 = np.exp(a - mu / s + special.log_ndtr(mu / sd - sd / s))
+    t2 = np.exp(a + mu / s + special.log_ndtr(-mu / sd - sd / s))
+    return (t2 - t1) / s
 
 
 def mmd2_gaussian(kernel: KernelSpec, mu1, var1, mu2, var2):
@@ -170,9 +161,7 @@ def closed_form_gaussian(spec: DivergenceSpec, mu1, var1, mu2, var2):
         return weight * mmd2_gaussian(kernel, mu1, var1, mu2, var2)
     if spec.kind == "pdf_l2":
         return pdf_l2_gaussian(mu1, var1, mu2, var2)
-    if spec.kind == "kl":
-        return kl_gaussian(mu2, var2, mu1, var1)
-    raise Unsupported(f"no Gaussian closed form for kind {spec.kind!r}")
+    return kl_gaussian(mu2, var2, mu1, var1)
 
 
 def closed_form_gaussian_dmu1(spec: DivergenceSpec, mu1, var1, mu2, var2):
@@ -184,16 +173,7 @@ def closed_form_gaussian_dmu1(spec: DivergenceSpec, mu1, var1, mu2, var2):
         return -2.0 * weight * gaussian_k0_dmu(kernel, delta, s)
     if spec.kind == "pdf_l2":
         return 2.0 * delta / (s * np.sqrt(2.0 * math.pi * s)) * np.exp(-(delta**2) / (2.0 * s))
-    if spec.kind == "kl":
-        return delta / var1
-    raise Unsupported(f"no Gaussian closed form for kind {spec.kind!r}")
-
-
-def divergence_gaussian(spec: DivergenceSpec, p: Gaussian1D, q: Gaussian1D) -> float:
-    """d(model P, target Q) for single Gaussians, by closed form."""
-    vf = spec.variance_floor
-    val = closed_form_gaussian(spec, p.mean, p.variance + vf, q.mean, q.variance + vf)
-    return max(float(val), 0.0)
+    return delta / var1  # kl
 
 
 def divergence_gmm(
@@ -204,12 +184,11 @@ def divergence_gmm(
 ) -> float:
     """d(model P, target Q) for Gaussian mixtures.
 
-    mmd/pdf_l2/cramer are exact pairwise-component sums; kl and tvd_mc are
-    Monte-Carlo estimates with ``spec.mc_samples`` draws per target component.
+    mmd/pdf_l2/cramer are exact pairwise-component sums; kl is a Monte-Carlo
+    estimate with ``spec.mc_samples`` draws per target component.
     """
-    vf = spec.variance_floor
-    w1, m1, v1 = p.weights, p.means, p.variances + vf
-    w2, m2, v2 = q.weights, q.means, q.variances + vf
+    w1, m1, v1 = p.weights, p.means, p.variances
+    w2, m2, v2 = q.weights, q.means, q.variances
 
     if spec.kind in ("mmd", "cramer"):
         kernel, weight = _mmd_kernel(spec)
@@ -223,8 +202,6 @@ def divergence_gmm(
 
     if rng is None:
         raise InvalidInput(f"{spec.kind} requires an RNG")
-    if spec.mc_samples < 1:
-        raise InvalidInput("mc_samples must be >= 1")
     b = spec.mc_samples
     # B draws per component of Q, weighted by the component weights
     total = 0.0
@@ -232,10 +209,7 @@ def divergence_gmm(
         z = rng.normal(mj, math.sqrt(vj), size=b)
         log_q = _gmm_logpdf(z, w2, m2, v2)
         log_p = _gmm_logpdf(z, w1, m1, v1)
-        if spec.kind == "kl":
-            total += wj * float(np.mean(log_q - log_p))
-        else:  # tvd_mc
-            total += wj * float(np.mean(np.abs(1.0 - np.exp(log_p - log_q))))
+        total += wj * float(np.mean(log_q - log_p))
     return max(total, 0.0)
 
 
@@ -268,81 +242,19 @@ def _gmm_logpdf(z, w, m, v):
 
 
 def kernel_gram(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kernel matrix k(x_i, y_j) for point sets of shape (n, d), (m, d)."""
-    diff = x[:, None, :] - y[None, :, :]
-    dist = np.sqrt(np.sum(diff**2, axis=-1))
+    """Kernel matrix k(x_i, y_j) for 1-D point sets of shape (n,), (m,)."""
+    dist = np.abs(x[:, None] - y[None, :])
     if kernel.kind == "energy":
-        nx = np.linalg.norm(x, axis=1)
-        ny = np.linalg.norm(y, axis=1)
-        return nx[:, None] ** kernel.beta + ny[None, :] ** kernel.beta - dist**kernel.beta
+        nx, ny = np.abs(x) ** kernel.beta, np.abs(y) ** kernel.beta
+        return nx[:, None] + ny[None, :] - dist**kernel.beta
     if kernel.kind == "rbf":
         return np.exp(-(dist**2) / (4.0 * kernel.sigma**2))
-    if kernel.kind == "laplace":
-        return np.exp(-dist / kernel.sigma)
-    # coulomb
-    d = x.shape[1]
-    if d < 2:
-        raise InvalidInput("coulomb kernel requires dimension >= 2")
-    with np.errstate(divide="ignore"):
-        vals = -np.log(dist) if d == 2 else dist ** (2.0 - d)
-    return vals
-
-
-def mmd_squared_mc(kernel: KernelSpec, x: EmpiricalSample, y: EmpiricalSample) -> float:
-    """U-statistic estimator of squared MMD between two samples."""
-    if len(x) < 2 or len(y) < 2:
-        raise InvalidInput("MMD U-statistic needs at least two points per sample")
-    if x.dim != y.dim:
-        raise InvalidInput("sample dimensions do not match")
-    xp, yp = x.points, y.points
-    if kernel.kind == "coulomb":
-        union = np.vstack([xp, yp])
-        diff = union[:, None, :] - union[None, :, :]
-        dist = np.sqrt(np.sum(diff**2, axis=-1))
-        np.fill_diagonal(dist, 1.0)
-        if np.any(dist == 0):
-            raise DegenerateInput("coulomb kernel is singular at coincident points")
-    kxx = kernel_gram(kernel, xp, xp)
-    kyy = kernel_gram(kernel, yp, yp)
-    kxy = kernel_gram(kernel, xp, yp)
-    n, m = len(x), len(y)
-    np.fill_diagonal(kxx, 0.0)
-    np.fill_diagonal(kyy, 0.0)
-    return (
-        kxx.sum() / (n * (n - 1))
-        + kyy.sum() / (m * (m - 1))
-        - 2.0 * kxy.mean()
-    )
+    return np.exp(-dist / kernel.sigma)  # laplace
 
 
 def mmd_squared_atomic(kernel: KernelSpec, p: Atomic, q: Atomic) -> float:
     """Exact population squared MMD between two finite atomic measures."""
-    if p.dim != q.dim:
-        raise InvalidInput("atomic dimensions do not match")
     kpp = p.masses @ kernel_gram(kernel, p.locations, p.locations) @ p.masses
     kqq = q.masses @ kernel_gram(kernel, q.locations, q.locations) @ q.masses
     kpq = p.masses @ kernel_gram(kernel, p.locations, q.locations) @ q.masses
     return float(kpp + kqq - 2.0 * kpq)
-
-
-def cramer_sq_atomic(p: Atomic, q: Atomic) -> float:
-    """Exact integral of |F_P - F_Q|^2 over the merged breakpoint grid."""
-    zp, zq = p.locations_1d(), q.locations_1d()
-    grid = np.unique(np.concatenate([zp, zq]))
-    if grid.size == 1:
-        return 0.0
-    fp = _atomic_cdf(zp, p.masses, grid[:-1])
-    fq = _atomic_cdf(zq, q.masses, grid[:-1])
-    widths = np.diff(grid)
-    return float(np.sum((fp - fq) ** 2 * widths))
-
-
-def _atomic_cdf(locs, masses, z):
-    order = np.argsort(locs, kind="stable")
-    slocs, smass = locs[order], masses[order]
-    cum = np.cumsum(smass)
-    idx = np.searchsorted(slocs, z, side="right")
-    out = np.zeros_like(np.asarray(z, dtype=float))
-    nz = idx > 0
-    out[nz] = cum[idx[nz] - 1]
-    return out

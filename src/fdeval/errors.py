@@ -13,10 +13,6 @@ class Unsupported(FdevalError):
     """The operation is not defined for this input kind."""
 
 
-class DegenerateInput(FdevalError):
-    """The input is formally valid but makes the computation singular."""
-
-
 class NonConvergence(FdevalError):
     """An iterative solver exhausted its budget.
 

@@ -65,6 +65,8 @@ def choose_t(n_total: int, gamma: float, params: TSelectionParams) -> int:
     """Iteration count from the log-sample-size rule, clamped below at 1."""
     if n_total < 1:
         raise InvalidInput("n_total must be >= 1")
+    if not 0 < gamma < 1:
+        raise InvalidInput(f"gamma must lie in (0, 1), got {gamma}")
     log_term = math.log(n_total) / math.log(1.0 / gamma)
     value = (
         (1.0 / params.c_divide)

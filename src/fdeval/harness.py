@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -44,7 +44,12 @@ from .fde import (
 )
 
 LQR_METHODS = ("cramer", "energy", "rbf", "laplace", "pdf_l2", "kl", "fle")
-ALL_METHODS = LQR_METHODS + ("tvd_mc",)
+
+# settings that each experiment never reads; a non-default value is rejected
+_UNREAD_BY = {
+    "lqr": ("tabular_states", "tabular_actions", "tabular_gamma"),
+    "tabular": ("sigma_rbf", "sigma_lap", "b_samples", "optimizer"),
+}
 
 CSV_HEADER = ["method", "n", "rep", "seed", "T", "inaccuracy", "runtime_ms", "failed"]
 
@@ -60,7 +65,7 @@ class ExperimentConfig:
     """Full sweep description; flag and file values funnel into this."""
 
     experiment: str = "lqr"
-    methods: tuple = ("cramer", "energy", "rbf", "laplace", "pdf_l2", "kl", "fle")
+    methods: tuple = LQR_METHODS
     n_list: tuple = (300, 1000)
     reps: int = 50
     master_seed: int = 0
@@ -81,13 +86,24 @@ class ExperimentConfig:
             raise InvalidInput(f"unknown experiment {self.experiment!r}")
         if self.reps < 1 or not self.n_list or min(self.n_list) < 1 or self.workers < 1:
             raise InvalidInput("reps, workers and every n must be >= 1, n_list nonempty")
-        unknown = set(self.methods) - set(ALL_METHODS)
+        unknown = set(self.methods) - set(LQR_METHODS)
         if not self.methods or unknown:
             raise InvalidInput(f"unknown methods: {sorted(unknown)}")
-        if self.experiment == "lqr" and "tvd_mc" in self.methods:
-            raise InvalidInput("tvd_mc has no closed-form objective; not runnable on lqr")
-        if self.b_samples < 1:
-            raise InvalidInput("b_samples must be >= 1")
+        if min(self.b_samples, self.dpi_points, self.tabular_states, self.tabular_actions) < 1:
+            raise InvalidInput(
+                "b_samples, dpi_points, tabular_states and tabular_actions must be >= 1"
+            )
+        if not 0 < self.tabular_gamma < 1:
+            raise InvalidInput(f"tabular_gamma must lie in (0, 1), got {self.tabular_gamma}")
+        defaults = {
+            f.name: f.default_factory() if f.default is MISSING else f.default
+            for f in fields(self)
+        }
+        unread = [
+            name for name in _UNREAD_BY[self.experiment] if getattr(self, name) != defaults[name]
+        ]
+        if unread:
+            raise InvalidInput(f"the {self.experiment} experiment never reads {unread}")
 
 
 def divergence_for_method(method: str, config: ExperimentConfig) -> DivergenceSpec:
@@ -103,8 +119,6 @@ def divergence_for_method(method: str, config: ExperimentConfig) -> DivergenceSp
         return DivergenceSpec("pdf_l2")
     if method in ("kl", "fle"):
         return DivergenceSpec("kl")
-    if method == "tvd_mc":
-        return DivergenceSpec("tvd_mc")
     raise InvalidInput(f"unknown method {method!r}")
 
 

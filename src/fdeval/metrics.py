@@ -8,41 +8,14 @@ contraction factor of the distributional Bellman operator under the lift.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .distributions import (
-    Atomic,
-    Distribution,
-    Gaussian1D,
-    atomic1d,
-    dist_dim,
-    mixture,
-    push_forward,
-    quantile_fn,
-)
+from .distributions import Atomic, mixture, push_forward
 from .divergences import KernelSpec, mmd_squared_atomic
-from .errors import InvalidInput, Unsupported
-
-_GL_ORDER = 4096
-
-
-@functools.cache
-def _gl_table():
-    """Gauss-Legendre nodes and weights on (0, 1), built on first use.
-
-    ``leggauss`` of this order is a dense eigensolve costing seconds, so it
-    runs only when a non-atomic pair reaches ``wasserstein_1d``.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
-    # map from (-1, 1) to (0, 1)
-    u, w = 0.5 * (nodes + 1.0), 0.5 * weights
-    u.setflags(write=False)
-    w.setflags(write=False)
-    return u, w
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -85,7 +58,7 @@ class MetricSpec:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "q", q)
 
-    def evaluate(self, p_dist: Distribution, q_dist: Distribution) -> float:
+    def evaluate(self, p_dist: Atomic, q_dist: Atomic) -> float:
         if self.kind == "wasserstein":
             return wasserstein_1d(self.p, p_dist, q_dist)
         if self.kind == "mmd":
@@ -137,42 +110,18 @@ def _atomic_quantile_segments(p: Atomic, q: Atomic):
 
 
 def _sorted_atoms(a: Atomic):
-    locs = a.locations_1d()
+    locs = a.locations
     order = np.argsort(locs, kind="stable")
     return locs[order], a.masses[order]
 
 
-def wasserstein_1d(p: float, dist1: Distribution, dist2: Distribution) -> float:
-    """Wasserstein-p distance between two 1-D distributions.
-
-    Atomic pairs use the exact quantile coupling over merged CDF breakpoints;
-    any pair involving a Gaussian or mixture falls back to Gauss-Legendre
-    quadrature of the quantile difference on (0, 1).
-    """
+def wasserstein_1d(p: float, dist1: Atomic, dist2: Atomic) -> float:
+    """Wasserstein-p distance between two atomic measures, by the exact
+    quantile coupling over their merged CDF breakpoints."""
     if p < 1:
         raise InvalidInput("wasserstein order must be >= 1")
-    if dist_dim(dist1) != 1 or dist_dim(dist2) != 1:
-        raise Unsupported("wasserstein_1d requires 1-D distributions")
-    if isinstance(dist1, Atomic) and isinstance(dist2, Atomic):
-        widths, qp, qq = _atomic_quantile_segments(dist1, dist2)
-        return float(np.sum(widths * np.abs(qp - qq) ** p) ** (1.0 / p))
-    u, w = _gl_table()
-    q1 = _quantile_grid(dist1, u)
-    q2 = _quantile_grid(dist2, u)
-    return float(np.sum(w * np.abs(q1 - q2) ** p) ** (1.0 / p))
-
-
-def _quantile_grid(dist: Distribution, u: np.ndarray) -> np.ndarray:
-    if isinstance(dist, Gaussian1D):
-        from scipy import special
-
-        return dist.mean + dist.std * special.ndtri(u)
-    if isinstance(dist, Atomic):
-        zs, ms = _sorted_atoms(dist)
-        cum = np.cumsum(ms)
-        idx = np.minimum(np.searchsorted(cum, u), zs.size - 1)
-        return zs[idx]
-    return np.array([quantile_fn(dist, float(ui)) for ui in u])
+    widths, qp, qq = _atomic_quantile_segments(dist1, dist2)
+    return float(np.sum(widths * np.abs(qp - qq) ** p) ** (1.0 / p))
 
 
 def metric_extension(metric: MetricSpec, ext: ExtensionSpec, table1: dict, table2: dict) -> float:
@@ -262,11 +211,11 @@ def _random_atomic(rng: np.random.Generator, max_atoms: int = 5) -> Atomic:
     n = int(rng.integers(1, max_atoms + 1))
     locs = rng.normal(0.0, 2.0, size=n)
     masses = rng.dirichlet(np.ones(n))
-    return atomic1d(locs, masses)
+    return Atomic(locs, masses)
 
 
 def _scale(a: Atomic, gamma: float) -> Atomic:
-    return push_forward(a, np.zeros(a.dim), gamma)
+    return push_forward(a, 0.0, gamma)
 
 
 def _shift(a: Atomic, z: float) -> Atomic:

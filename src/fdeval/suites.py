@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .bellman import Policy, TabularMDP, apply_bellman, sup_w1, zero_table
-from .distributions import GaussianMixture1D, atomic1d
+from .distributions import Atomic, GaussianMixture1D
 from .divergences import (
     DivergenceSpec,
     KernelSpec,
@@ -40,7 +40,7 @@ def _random_table(mdp: TabularMDP, rng: np.random.Generator, max_atoms: int = 4)
     table = {}
     for sa in mdp.pairs():
         k = int(rng.integers(1, max_atoms + 1))
-        table[sa] = atomic1d(rng.normal(0.0, 2.0, size=k), rng.dirichlet(np.ones(k)))
+        table[sa] = Atomic(rng.normal(0.0, 2.0, size=k), rng.dirichlet(np.ones(k)))
     return table
 
 
@@ -307,8 +307,8 @@ def sandwich_suite(seed: int, trials: int = 500, tol: float = 1e-9) -> dict:
         hi = lo + float(rng.uniform(0.5, 4.0))
         k1 = int(rng.integers(1, 6))
         k2 = int(rng.integers(1, 6))
-        d1 = atomic1d(rng.uniform(lo, hi, size=k1), rng.dirichlet(np.ones(k1)))
-        d2 = atomic1d(rng.uniform(lo, hi, size=k2), rng.dirichlet(np.ones(k2)))
+        d1 = Atomic(rng.uniform(lo, hi, size=k1), rng.dirichlet(np.ones(k1)))
+        d2 = Atomic(rng.uniform(lo, hi, size=k2), rng.dirichlet(np.ones(k2)))
         energy = mmd_squared_atomic(_ENERGY1, d1, d2)
         w1 = wasserstein_1d(1.0, d1, d2)
         wp = wasserstein_1d(p, d1, d2)
@@ -351,7 +351,7 @@ def _exact_deterministic_returns(mdp: TabularMDP, pi: Policy) -> dict:
         mat[index[sa], index[(sp, ap)]] -= mdp.gamma
         vec[index[sa]] = r
     g = np.linalg.solve(mat, vec)
-    return {sa: atomic1d([g[index[sa]]], [1.0]) for sa in pairs}
+    return {sa: Atomic([g[index[sa]]], [1.0]) for sa in pairs}
 
 
 def telescoping_suite(seed: int, runs: int = 20, tol: float = 1e-6) -> dict:

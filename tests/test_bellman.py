@@ -13,9 +13,13 @@ from fdeval.bellman import (
     sup_w1,
     zero_table,
 )
-from fdeval.distributions import atomic1d, dist_mean
+from fdeval.distributions import Atomic
 from fdeval.errors import InvalidInput, NonConvergence
 from fdeval.metrics import wasserstein_1d
+
+
+def _mean(dist):
+    return float(dist.masses @ dist.locations)
 
 
 def single_loop_mdp(gamma=0.9, reward=1.0):
@@ -50,23 +54,23 @@ def test_policy_validation():
 def test_backup_single_sample():
     mdp = single_loop_mdp()
     pi = Policy.uniform(1, 1)
-    table = {(0, 0): atomic1d([10.0], [1.0])}
+    table = {(0, 0): Atomic([10.0], [1.0])}
     out = bellman_backup(0.5, 0, table, pi, 0.9)
-    np.testing.assert_allclose(out.locations_1d(), [0.5 + 0.9 * 10.0])
+    np.testing.assert_allclose(out.locations, [0.5 + 0.9 * 10.0])
 
 
 def test_compact_atoms_preserves_mean():
-    dist = atomic1d([0.123, 0.9871, 2.5], [0.3, 0.3, 0.4])
+    dist = Atomic([0.123, 0.9871, 2.5], [0.3, 0.3, 0.4])
     out = compact_atoms(dist, grid=0.25)
-    assert dist_mean(out) == pytest.approx(dist_mean(dist), abs=1e-12)
-    grid_pts = out.locations_1d() / 0.25
+    assert _mean(out) == pytest.approx(_mean(dist), abs=1e-12)
+    grid_pts = out.locations / 0.25
     np.testing.assert_allclose(grid_pts, np.round(grid_pts), atol=1e-9)
 
 
 def test_compact_atoms_merges_duplicates():
-    dist = atomic1d([1.0, 1.0, 2.0], [0.25, 0.25, 0.5])
+    dist = Atomic([1.0, 1.0, 2.0], [0.25, 0.25, 0.5])
     out = compact_atoms(dist)
-    np.testing.assert_allclose(out.locations_1d(), [1.0, 2.0])
+    np.testing.assert_allclose(out.locations, [1.0, 2.0])
     np.testing.assert_allclose(out.masses, [0.5, 0.5])
 
 
@@ -76,10 +80,10 @@ def test_fixed_point_single_loop_geometric_sum():
     pi = Policy.uniform(1, 1)
     table = solve_return_fixed_point(mdp, pi, tol=1e-10)
     dist = table[(0, 0)]
-    assert dist_mean(dist) == pytest.approx(1.0 / (1.0 - gamma), abs=1e-6)
+    assert _mean(dist) == pytest.approx(1.0 / (1.0 - gamma), abs=1e-6)
     # deterministic returns concentrate (up to grid-projection dust)
     assert dist.masses.max() >= 0.999
-    assert wasserstein_1d(1.0, dist, atomic1d([1.0 / (1.0 - gamma)], [1.0])) <= 1e-6
+    assert wasserstein_1d(1.0, dist, Atomic([1.0 / (1.0 - gamma)], [1.0])) <= 1e-6
 
 
 def test_fixed_point_two_state_cycle():
@@ -90,8 +94,8 @@ def test_fixed_point_two_state_cycle():
     # g0 = 1 + gamma g1, g1 = 2 + gamma g0
     g0 = (1.0 + 2.0 * gamma) / (1.0 - gamma**2)
     g1 = (2.0 + 1.0 * gamma) / (1.0 - gamma**2)
-    assert dist_mean(table[(0, 0)]) == pytest.approx(g0, abs=1e-6)
-    assert dist_mean(table[(1, 0)]) == pytest.approx(g1, abs=1e-6)
+    assert _mean(table[(0, 0)]) == pytest.approx(g0, abs=1e-6)
+    assert _mean(table[(1, 0)]) == pytest.approx(g1, abs=1e-6)
 
 
 def test_bellman_means_follow_value_iteration():
@@ -113,7 +117,7 @@ def test_bellman_means_follow_value_iteration():
             )
         q = q_next
         for (s, a) in mdp.pairs():
-            assert dist_mean(table[(s, a)]) == pytest.approx(q[s, a], abs=1e-9)
+            assert _mean(table[(s, a)]) == pytest.approx(q[s, a], abs=1e-9)
 
 
 def test_fixed_point_nonconvergence_raises():
@@ -125,8 +129,8 @@ def test_fixed_point_nonconvergence_raises():
 
 def test_sup_w1_symmetry_and_zero():
     mdp = single_loop_mdp()
-    t1 = {(0, 0): atomic1d([0.0, 1.0], [0.5, 0.5])}
-    t2 = {(0, 0): atomic1d([2.0], [1.0])}
+    t1 = {(0, 0): Atomic([0.0, 1.0], [0.5, 0.5])}
+    t2 = {(0, 0): Atomic([2.0], [1.0])}
     assert sup_w1(t1, t1) == 0.0
     assert sup_w1(t1, t2) == pytest.approx(sup_w1(t2, t1))
 
@@ -139,7 +143,7 @@ def test_stochastic_fixed_point_distribution():
     pi = Policy.uniform(1, 1)
     table = solve_return_fixed_point(mdp, pi, tol=1e-8, grid=1e-5, auto_grid=False)
     dist = table[(0, 0)]
-    locs, masses = dist.locations_1d(), dist.masses
+    locs, masses = dist.locations, dist.masses
     mean = float(masses @ locs)
     var = float(masses @ (locs - mean) ** 2)
     # sum gamma^t R_t with E R = 1/2, Var R = 1/4

@@ -4,110 +4,49 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
-from fdeval.distributions import (
-    Atomic,
-    EmpiricalSample,
-    Gaussian1D,
-    GaussianMixture1D,
-    atomic1d,
-    dist_mean,
-    mixture,
-    push_forward,
-    quantile_fn,
-    sample,
-)
+from fdeval.distributions import Atomic, GaussianMixture1D, mixture, push_forward
 from fdeval.errors import InvalidInput
 
 
 def test_gaussian_rejects_nonpositive_variance():
-    with pytest.raises(InvalidInput):
-        Gaussian1D(0.0, 0.0)
-    with pytest.raises(InvalidInput):
-        Gaussian1D(0.0, -1.0)
+    for var in (0.0, -1.0):
+        with pytest.raises(InvalidInput):
+            GaussianMixture1D(((0.5, 0.0, 1.0), (0.5, 1.0, var)))
 
 
 def test_mixture_weights_must_normalize():
     with pytest.raises(InvalidInput):
         GaussianMixture1D(((0.5, 0.0, 1.0), (0.6, 1.0, 1.0)))
     with pytest.raises(InvalidInput):
-        Atomic(np.zeros((2, 1)), np.array([0.5, 0.6]))
+        Atomic(np.zeros(2), np.array([0.5, 0.6]))
 
 
-def test_push_forward_gaussian():
-    g = Gaussian1D(2.0, 4.0)
-    out = push_forward(g, 1.5, 0.5)
-    assert out.mean == pytest.approx(1.5 + 0.5 * 2.0)
-    assert out.variance == pytest.approx(0.25 * 4.0)
+def test_atomic_is_a_1d_measure():
+    locs = np.array([2.0, -1.0])
+    a = Atomic(locs, [0.5, 0.5])
+    assert a.locations.shape == (2,) and not a.locations.flags.writeable
+    locs[0] = 7.0  # the caller's array stays its own
+    assert a.locations[0] == 2.0
+    for bad_locs, masses in ((np.zeros((2, 1)), [0.5, 0.5]), ([0.0, 1.0], [1.0]), ([], [])):
+        with pytest.raises(InvalidInput):
+            Atomic(bad_locs, masses)
+    with pytest.raises(InvalidInput):
+        mixture([(1.0, GaussianMixture1D(((1.0, 0.0, 1.0),)))])
 
 
 def test_push_forward_atomic_shifts_and_scales():
-    a = atomic1d([0.0, 2.0], [0.3, 0.7])
+    a = Atomic([0.0, 2.0], [0.3, 0.7])
     out = push_forward(a, 1.0, 0.9)
-    np.testing.assert_allclose(out.locations_1d(), [1.0, 2.8])
+    np.testing.assert_allclose(out.locations, [1.0, 2.8])
     np.testing.assert_allclose(out.masses, a.masses)
 
 
-def test_mixture_of_gaussians_flattens():
-    g1 = Gaussian1D(0.0, 1.0)
-    g2 = GaussianMixture1D(((0.5, 1.0, 1.0), (0.5, 2.0, 1.0)))
-    mixed = mixture([(0.4, g1), (0.6, g2)])
-    assert isinstance(mixed, GaussianMixture1D)
-    np.testing.assert_allclose(mixed.weights, [0.4, 0.3, 0.3])
-    assert dist_mean(mixed) == pytest.approx(0.4 * 0.0 + 0.3 * 1.0 + 0.3 * 2.0)
-
-
 def test_mixture_of_atomics_concatenates():
-    a = atomic1d([0.0], [1.0])
-    b = atomic1d([1.0, 2.0], [0.5, 0.5])
+    a = Atomic([0.0], [1.0])
+    b = Atomic([1.0, 2.0], [0.5, 0.5])
     mixed = mixture([(0.5, a), (0.5, b)])
     np.testing.assert_allclose(mixed.masses, [0.5, 0.25, 0.25])
-
-
-def test_gaussian_quantile_matches_scipy():
-    g = Gaussian1D(1.2, 2.5)
-    for u in (0.01, 0.25, 0.5, 0.9, 0.999):
-        assert quantile_fn(g, u) == pytest.approx(
-            stats.norm.ppf(u, loc=1.2, scale=np.sqrt(2.5)), abs=1e-10
-        )
-
-
-def test_atomic_quantile_step_function():
-    a = atomic1d([3.0, 1.0, 2.0], [0.2, 0.5, 0.3])
-    assert quantile_fn(a, 0.3) == 1.0
-    assert quantile_fn(a, 0.5) == 1.0  # right-continuous inverse hits the atom
-    assert quantile_fn(a, 0.51) == 2.0
-    assert quantile_fn(a, 0.99) == 3.0
-
-
-def test_gmm_quantile_inverts_cdf():
-    g = GaussianMixture1D(((0.3, -2.0, 0.5), (0.7, 3.0, 2.0)))
-    # oracle: empirical quantiles of a large sample
-    pts = sample(g, 400_000, np.random.default_rng(5)).points[:, 0]
-    for u in (0.1, 0.3, 0.6, 0.9):
-        assert quantile_fn(g, u) == pytest.approx(np.quantile(pts, u), abs=0.02)
-
-
-def test_sample_deterministic_per_seed():
-    g = Gaussian1D(0.0, 1.0)
-    s1 = sample(g, 10, np.random.default_rng(3)).points
-    s2 = sample(g, 10, np.random.default_rng(3)).points
-    np.testing.assert_array_equal(s1, s2)
-
-
-def test_sample_moments_match():
-    g = Gaussian1D(2.0, 9.0)
-    pts = sample(g, 200_000, np.random.default_rng(0)).points[:, 0]
-    assert pts.mean() == pytest.approx(2.0, abs=0.05)
-    assert pts.var() == pytest.approx(9.0, rel=0.02)
-
-
-def test_empirical_sample_shape_handling():
-    s = EmpiricalSample(np.array([1.0, 2.0, 3.0]))
-    assert s.dim == 3  # a bare 1-D array is one point in R^3
-    s2 = EmpiricalSample(np.array([[1.0], [2.0]]))
-    assert s2.dim == 1 and len(s2) == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -119,6 +58,7 @@ def test_empirical_sample_shape_handling():
 def test_push_forward_mean_identity(locs, r, gamma):
     """mean(r + gamma X) == r + gamma mean(X) for atomic carriers."""
     n = len(locs)
-    a = atomic1d(locs, np.full(n, 1.0 / n))
+    a = Atomic(locs, np.full(n, 1.0 / n))
     out = push_forward(a, r, gamma)
-    assert dist_mean(out) == pytest.approx(r + gamma * dist_mean(a), abs=1e-9)
+    mean = a.masses @ a.locations
+    assert out.masses @ out.locations == pytest.approx(r + gamma * mean, abs=1e-9)

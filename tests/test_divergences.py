@@ -4,23 +4,21 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from fdeval.distributions import Gaussian1D, GaussianMixture1D, atomic1d, EmpiricalSample
+from fdeval.distributions import Atomic, GaussianMixture1D
 from fdeval.divergences import (
     DivergenceSpec,
     KernelSpec,
-    cramer_sq_atomic,
-    divergence_gaussian,
+    closed_form_gaussian,
     divergence_gmm,
     gaussian_k0,
     gaussian_k0_dmu,
-    kernel_gram,
     kl_gaussian,
     mmd2_gaussian,
     mmd_squared_atomic,
-    mmd_squared_mc,
     pdf_l2_gaussian,
 )
-from fdeval.errors import DegenerateInput, InvalidInput, Unsupported
+from fdeval.errors import InvalidInput
+from fdeval.metrics import MetricSpec
 
 ENERGY = KernelSpec("energy", beta=1.0)
 RBF = KernelSpec("rbf", sigma=1.0)
@@ -76,11 +74,11 @@ def test_energy_mmd2_anchor():
 
 def test_kl_anchor_and_direction():
     assert kl_gaussian(1.0, 1.0, 0.0, 1.0) == pytest.approx(0.5, abs=1e-9)
-    # divergence_gaussian(spec, model, target) evaluates KL(target || model)
+    # closed_form_gaussian(spec, model, target) evaluates KL(target || model)
     spec = DivergenceSpec("kl")
-    p = Gaussian1D(0.0, 1.0)
-    q = Gaussian1D(0.0, 4.0)
-    assert divergence_gaussian(spec, p, q) == pytest.approx(kl_gaussian(0.0, 4.0, 0.0, 1.0))
+    assert closed_form_gaussian(spec, 0.0, 1.0, 0.0, 4.0) == pytest.approx(
+        kl_gaussian(0.0, 4.0, 0.0, 1.0)
+    )
 
 
 def test_pdf_l2_zero_iff_equal():
@@ -97,42 +95,27 @@ def test_pdf_l2_matches_quadrature():
 
 def test_cramer_is_half_energy_for_gaussians():
     spec = DivergenceSpec("cramer")
-    p, q = Gaussian1D(0.0, 1.0), Gaussian1D(2.0, 1.0)
-    assert divergence_gaussian(spec, p, q) == pytest.approx(
+    assert closed_form_gaussian(spec, 0.0, 1.0, 2.0, 1.0) == pytest.approx(
         0.5 * mmd2_gaussian(ENERGY, 0.0, 1.0, 2.0, 1.0)
     )
 
 
 def test_divergences_vanish_at_identity():
-    p = Gaussian1D(1.3, 2.0)
+    p = (1.3, 2.0)
     for kind in ("cramer", "pdf_l2", "kl"):
-        assert divergence_gaussian(DivergenceSpec(kind), p, p) == pytest.approx(0.0, abs=1e-10)
-    assert divergence_gaussian(DivergenceSpec("mmd", kernel=RBF), p, p) == pytest.approx(
+        assert closed_form_gaussian(DivergenceSpec(kind), *p, *p) == pytest.approx(0.0, abs=1e-10)
+    assert closed_form_gaussian(DivergenceSpec("mmd", kernel=RBF), *p, *p) == pytest.approx(
         0.0, abs=1e-10
-    )
-
-
-def test_variance_floor_applied():
-    spec = DivergenceSpec("kl", variance_floor=1.0)
-    p, q = Gaussian1D(0.0, 1.0), Gaussian1D(0.0, 1.0)
-    # floored variances are equal, so the divergence still vanishes
-    assert divergence_gaussian(spec, p, q) == pytest.approx(0.0, abs=1e-12)
-    spec2 = DivergenceSpec("kl", variance_floor=3.0)
-    r = Gaussian1D(1.0, 1.0)
-    assert divergence_gaussian(spec2, p, r) == pytest.approx(
-        kl_gaussian(1.0, 4.0, 0.0, 4.0)
     )
 
 
 def test_gmm_divergence_reduces_to_gaussian_case():
     p1 = GaussianMixture1D(((1.0, 0.0, 1.0),))
     q1 = GaussianMixture1D(((1.0, 1.5, 2.0),))
-    p = Gaussian1D(0.0, 1.0)
-    q = Gaussian1D(1.5, 2.0)
     for kind, kernel in (("mmd", ENERGY), ("mmd", RBF), ("cramer", None), ("pdf_l2", None)):
         spec = DivergenceSpec(kind, kernel=kernel)
         assert divergence_gmm(spec, p1, q1) == pytest.approx(
-            divergence_gaussian(spec, p, q), abs=1e-10
+            closed_form_gaussian(spec, 0.0, 1.0, 1.5, 2.0), abs=1e-10
         )
 
 
@@ -144,51 +127,33 @@ def test_gmm_kl_mc_matches_closed_form():
     assert est == pytest.approx(0.5, abs=0.02)
 
 
-def test_gmm_tvd_mc_properties():
-    g = GaussianMixture1D(((0.5, 0.0, 1.0), (0.5, 2.0, 1.0)))
-    spec = DivergenceSpec("tvd_mc", mc_samples=20_000)
-    assert divergence_gmm(spec, g, g, rng=np.random.default_rng(1)) == pytest.approx(0.0, abs=1e-12)
-    far = GaussianMixture1D(((1.0, 50.0, 1.0),))
-    val = divergence_gmm(spec, g, far, rng=np.random.default_rng(1))
-    assert 0.9 < val <= 2.0 + 1e-9  # near-disjoint supports saturate toward 2 (L1 form)
-
-
 def test_mmd_atomic_hand_computation():
     # two single atoms at 0 and 3 under the energy kernel:
     # k(x,y) = |x| + |y| - |x-y|; MMD^2 = k(0,0) + k(3,3) - 2 k(0,3) = 6
-    p = atomic1d([0.0], [1.0])
-    q = atomic1d([3.0], [1.0])
+    p = Atomic([0.0], [1.0])
+    q = Atomic([3.0], [1.0])
     assert mmd_squared_atomic(ENERGY, p, q) == pytest.approx(6.0)
+
+
+def _cramer_sq_oracle(p, q):
+    """Exact integral of |F_P - F_Q|^2 over the merged breakpoint grid."""
+    grid = np.unique(np.concatenate([p.locations, q.locations]))
+
+    def cdf(a, z):
+        return np.array([a.masses[a.locations <= zi].sum() for zi in z])
+
+    return float(np.sum((cdf(p, grid[:-1]) - cdf(q, grid[:-1])) ** 2 * np.diff(grid)))
 
 
 def test_cramer_atomic_identity_with_energy():
     rng = np.random.default_rng(4)
     for _ in range(20):
         k1, k2 = rng.integers(1, 6, size=2)
-        p = atomic1d(rng.normal(0, 2, k1), rng.dirichlet(np.ones(k1)))
-        q = atomic1d(rng.normal(0, 2, k2), rng.dirichlet(np.ones(k2)))
-        assert cramer_sq_atomic(p, q) == pytest.approx(
-            0.5 * mmd_squared_atomic(ENERGY, p, q), abs=1e-10
+        p = Atomic(rng.normal(0, 2, k1), rng.dirichlet(np.ones(k1)))
+        q = Atomic(rng.normal(0, 2, k2), rng.dirichlet(np.ones(k2)))
+        assert MetricSpec("cramer").evaluate(p, q) ** 2 == pytest.approx(
+            _cramer_sq_oracle(p, q), abs=1e-10
         )
-
-
-def test_mmd_mc_unbiased_against_atomic():
-    p = atomic1d([0.0, 1.0], [0.5, 0.5])
-    q = atomic1d([2.0], [1.0])
-    exact = mmd_squared_atomic(ENERGY, p, q)
-    rng = np.random.default_rng(7)
-    from fdeval.distributions import sample
-
-    est = mmd_squared_mc(ENERGY, sample(p, 4000, rng), sample(q, 4000, rng))
-    assert est == pytest.approx(exact, abs=0.1)
-
-
-def test_coulomb_kernel_guards():
-    with pytest.raises(InvalidInput):
-        kernel_gram(KernelSpec("coulomb"), np.zeros((2, 1)), np.zeros((2, 1)))
-    pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(DegenerateInput):
-        mmd_squared_mc(KernelSpec("coulomb"), EmpiricalSample(pts[:2]), EmpiricalSample(pts[1:]))
 
 
 def test_kernel_spec_validation():
@@ -200,3 +165,7 @@ def test_kernel_spec_validation():
         DivergenceSpec("mmd")
     with pytest.raises(InvalidInput):
         DivergenceSpec("unknown")
+    with pytest.raises(InvalidInput):
+        DivergenceSpec("tvd_mc")
+    with pytest.raises(InvalidInput):
+        KernelSpec("coulomb")

@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
-from fdeval.distributions import atomic1d
+from fdeval.distributions import Atomic
 from fdeval.envs import LQREnv, LQRTheta, estimate_dpi_lqr, lqr_true_params
 from fdeval.errors import InvalidInput
 from fdeval.evaluation import InaccuracyReport, lqr_inaccuracy, tabular_inaccuracy
-from fdeval.metrics import wasserstein_1d
-from fdeval.distributions import Gaussian1D
 
 
 def test_zero_at_truth():
@@ -31,22 +30,21 @@ def test_identity_perturbation_single_point():
 
 
 def test_matches_wasserstein_aggregation_oracle():
-    """Recompute through the generic metric machinery: per-point W1 between
-    the two equal-variance Gaussians, then the RMS aggregation."""
+    """Recompute from the definition: per-point W1 between the two
+    equal-variance Gaussians as the integral of their quantile gap over
+    (0, 1), then the RMS aggregation."""
     env = LQREnv.default()
     theta_star = lqr_true_params(env)
     rng = np.random.default_rng(1)
     theta = LQRTheta.from_vector(theta_star.to_vector() + rng.normal(scale=0.1, size=12))
     xs, acts = estimate_dpi_lqr(env, 50, rng)
-    v = env.return_variance
-    per_point = [
-        wasserstein_1d(
-            1.0,
-            Gaussian1D(theta.mean(x, a), v),
-            Gaussian1D(theta_star.mean(x, a), v),
-        )
-        for x, a in zip(xs, acts)
-    ]
+    sd = np.sqrt(env.return_variance)
+
+    def w1(mu1, mu2):
+        gap = lambda u: abs(stats.norm.ppf(u, mu1, sd) - stats.norm.ppf(u, mu2, sd))
+        return integrate.quad(gap, 0.0, 1.0)[0]
+
+    per_point = [w1(theta.mean(x, a), theta_star.mean(x, a)) for x, a in zip(xs, acts)]
     oracle = np.sqrt(np.mean(np.square(per_point)))
     assert lqr_inaccuracy(theta, theta_star, xs, acts) == pytest.approx(oracle, abs=1e-6)
 
@@ -88,8 +86,8 @@ def test_lqr_inaccuracy_validation():
 
 
 def test_tabular_inaccuracy_brute_force():
-    u_hat = {(0, 0): atomic1d([0.0], [1.0]), (1, 0): atomic1d([0.0, 2.0], [0.5, 0.5])}
-    u_true = {(0, 0): atomic1d([1.0], [1.0]), (1, 0): atomic1d([1.0], [1.0])}
+    u_hat = {(0, 0): Atomic([0.0], [1.0]), (1, 0): Atomic([0.0, 2.0], [0.5, 0.5])}
+    u_true = {(0, 0): Atomic([1.0], [1.0]), (1, 0): Atomic([1.0], [1.0])}
     weights = {(0, 0): 0.25, (1, 0): 0.75}
     # W1 gaps: 1.0 and 1.0 (mass 0.5 moves by 1 each way)
     expected = np.sqrt(0.25 * 1.0**2 + 0.75 * 1.0**2)

@@ -52,6 +52,10 @@ def test_t_selection_validation():
         TSelectionParams(c=0.25, q=1.0)  # c <= 1/(2q)
     with pytest.raises(InvalidInput):
         TSelectionParams(l=1.0)
+    # the rule divides by log(1 / gamma), so gamma must lie in (0, 1)
+    for gamma in (0.0, 1.0, 1.5, -0.5):
+        with pytest.raises(InvalidInput):
+            choose_t(1000, gamma, TSelectionParams())
 
 
 def _dummy_dataset(n, seed=0):

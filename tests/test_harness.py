@@ -8,7 +8,7 @@ import pytest
 
 from fdeval.cli import main
 from fdeval.errors import InvalidInput
-from fdeval.fde import TSelectionParams
+from fdeval.fde import OptimizerSettings, TSelectionParams
 from fdeval.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -27,15 +27,44 @@ def test_config_validation():
         ExperimentConfig(methods=("nope",))
     with pytest.raises(InvalidInput):
         ExperimentConfig(reps=0)
-    with pytest.raises(InvalidInput):
-        ExperimentConfig(experiment="lqr", methods=("tvd_mc",))
-    # tvd_mc is fine for the tabular experiment (fits are divergence-free)
-    ExperimentConfig(experiment="tabular", methods=("tvd_mc",))
-    # b_samples is used by every fle cell alike, so it is checked up front
-    with pytest.raises(InvalidInput):
-        ExperimentConfig(b_samples=0)
-    with pytest.raises(InvalidInput):
-        ExperimentConfig(n_list=(60, 0))
+    for experiment in ("lqr", "tabular"):
+        with pytest.raises(InvalidInput):
+            ExperimentConfig(experiment=experiment, methods=("tvd_mc",))
+    # settings that every cell reads alike are checked up front: out of
+    # range, they would fail every cell or abort the sweep
+    for bad in (
+        dict(b_samples=0),
+        dict(n_list=(60, 0)),
+        dict(dpi_points=0),
+        dict(experiment="tabular", dpi_points=0),
+        dict(experiment="tabular", tabular_states=0),
+        dict(experiment="tabular", tabular_actions=0),
+        dict(experiment="tabular", tabular_gamma=0.0),
+        dict(experiment="tabular", tabular_gamma=1.0),
+        dict(experiment="tabular", tabular_gamma=1.5),
+    ):
+        with pytest.raises(InvalidInput):
+            ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize(
+    "experiment,setting",
+    [
+        ("tabular", dict(sigma_rbf=2.0)),
+        ("tabular", dict(sigma_lap=2.0)),
+        ("tabular", dict(b_samples=4)),
+        ("tabular", dict(optimizer=OptimizerSettings(max_evals=500))),
+        ("lqr", dict(tabular_states=3)),
+        ("lqr", dict(tabular_actions=3)),
+        ("lqr", dict(tabular_gamma=0.5)),
+    ],
+)
+def test_settings_the_experiment_never_reads_are_rejected(experiment, setting):
+    with pytest.raises(InvalidInput, match="never reads"):
+        ExperimentConfig(experiment=experiment, **setting)
+    # the same setting is accepted by the experiment that reads it
+    other = "lqr" if experiment == "tabular" else "tabular"
+    ExperimentConfig(experiment=other, **setting)
 
 
 def test_small_sweep_and_csv(tmp_path):
@@ -125,6 +154,7 @@ def test_config_file_errors(tmp_path):
         "[experiment]\nkind = lqr\n[extra]\n",  # a section that nothing reads
         "[optimizer]\ngradient_mode = analytic\n",  # removed: one gradient path
         "[optimizer]\nfd_step = 1e-5\n",  # removed with finite differences
+        "[experiment]\nkind = tabular\n[divergence]\nsigma_rbf = 2\n",  # unread by tabular
     ):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(body)
@@ -140,6 +170,18 @@ def test_cli_rejects_b_zero_before_running(tmp_path, capsys):
                  "--reps", "1", "--out", str(out)])
     assert code == 1
     assert "b_samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_zero_dpi_points_before_running(tmp_path, capsys):
+    # dpi_points = 0 used to turn every cell into a NaN row and exit 0
+    cfg = tmp_path / "dpi0.ini"
+    cfg.write_text("[experiment]\ndpi_points = 0\n")
+    out = tmp_path / "dpi0.csv"
+    code = main(["run-tabular", "--config", str(cfg), "--n", "60", "--reps", "1",
+                 "--out", str(out)])
+    assert code == 1
+    assert "dpi_points" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,22 +1,15 @@
 """Tests for metrics, table extensions and contraction constants."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy import stats
 
-import fdeval
-from fdeval.distributions import Gaussian1D, GaussianMixture1D, atomic1d
+from fdeval.distributions import Atomic
 from fdeval.divergences import KernelSpec
 from fdeval.errors import InvalidInput
 from fdeval.metrics import (
     ExtensionSpec,
     MetricSpec,
-    _gl_table,
     contraction_factor,
     metric_extension,
     slc_property_check,
@@ -30,51 +23,16 @@ def test_w1_atomic_matches_scipy():
         k1, k2 = rng.integers(1, 7, size=2)
         l1, m1 = rng.normal(0, 3, k1), rng.dirichlet(np.ones(k1))
         l2, m2 = rng.normal(0, 3, k2), rng.dirichlet(np.ones(k2))
-        ours = wasserstein_1d(1.0, atomic1d(l1, m1), atomic1d(l2, m2))
+        ours = wasserstein_1d(1.0, Atomic(l1, m1), Atomic(l2, m2))
         oracle = stats.wasserstein_distance(l1, l2, m1, m2)
         assert ours == pytest.approx(oracle, abs=1e-10)
 
 
 def test_w2_atomic_hand_case():
     # uniform two-point vs one atom: W2^2 = 0.5 * (1^2 + 1^2)
-    p = atomic1d([0.0, 2.0], [0.5, 0.5])
-    q = atomic1d([1.0], [1.0])
+    p = Atomic([0.0, 2.0], [0.5, 0.5])
+    q = Atomic([1.0], [1.0])
     assert wasserstein_1d(2.0, p, q) == pytest.approx(1.0)
-
-
-def test_wasserstein_gaussian_closed_forms():
-    # equal variances: pure location shift; generally W2^2 = dmu^2 + (s1-s2)^2
-    g1, g2 = Gaussian1D(0.0, 4.0), Gaussian1D(3.0, 4.0)
-    assert wasserstein_1d(1.0, g1, g2) == pytest.approx(3.0, abs=1e-6)
-    g3 = Gaussian1D(1.0, 1.0)
-    expected = np.sqrt((1.0 - 0.0) ** 2 + (1.0 - 2.0) ** 2)
-    assert wasserstein_1d(2.0, g1, g3) == pytest.approx(expected, abs=1e-4)
-
-
-def test_wasserstein_mixed_representations():
-    g = Gaussian1D(0.0, 1.0)
-    a = atomic1d([0.0], [1.0])
-    # W1(N(0,1), delta_0) = E|Z| = sqrt(2/pi)
-    assert wasserstein_1d(1.0, g, a) == pytest.approx(np.sqrt(2 / np.pi), abs=1e-4)
-    gmm = GaussianMixture1D(((1.0, 0.0, 1.0),))
-    assert wasserstein_1d(1.0, gmm, g) == pytest.approx(0.0, abs=1e-6)
-
-
-def test_gl_table_integrates_polynomials_exactly():
-    u, w = _gl_table()
-    assert u.size == w.size == 4096
-    assert not (u.flags.writeable or w.flags.writeable)
-    for k in range(21):
-        assert np.sum(w * u**k) == pytest.approx(1.0 / (k + 1), abs=1e-12)
-
-
-def test_import_builds_no_quadrature_table():
-    env = dict(os.environ, PYTHONPATH=str(Path(fdeval.__file__).resolve().parents[1]))
-    code = "import fdeval, fdeval.metrics as m; print(m._gl_table.cache_info().currsize)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "0"
 
 
 def test_metric_spec_default_constants():
@@ -88,8 +46,8 @@ def test_metric_spec_default_constants():
 
 def test_metric_extension_hand_check():
     metric = MetricSpec("wasserstein", p=1.0)
-    t1 = {"a": atomic1d([0.0], [1.0]), "b": atomic1d([0.0], [1.0])}
-    t2 = {"a": atomic1d([1.0], [1.0]), "b": atomic1d([3.0], [1.0])}
+    t1 = {"a": Atomic([0.0], [1.0]), "b": Atomic([0.0], [1.0])}
+    t2 = {"a": Atomic([1.0], [1.0]), "b": Atomic([3.0], [1.0])}
     assert metric_extension(metric, ExtensionSpec("supremum"), t1, t2) == pytest.approx(3.0)
     ext = ExtensionSpec("expectation", q=1.0, weights={"a": 0.5, "b": 0.5})
     # (0.5 * 1^2 + 0.5 * 3^2)^(1/2)
@@ -98,8 +56,8 @@ def test_metric_extension_hand_check():
 
 def test_metric_extension_index_mismatch():
     metric = MetricSpec("wasserstein")
-    t1 = {"a": atomic1d([0.0], [1.0])}
-    t2 = {"b": atomic1d([0.0], [1.0])}
+    t1 = {"a": Atomic([0.0], [1.0])}
+    t2 = {"b": Atomic([0.0], [1.0])}
     with pytest.raises(InvalidInput):
         metric_extension(metric, ExtensionSpec("supremum"), t1, t2)
 
