@@ -107,25 +107,37 @@ def compact_atoms(dist: Atomic, merge_tol: float = 1e-12, grid: Optional[float] 
         masses = np.concatenate([masses * (1.0 - frac), masses * frac])
     order = np.argsort(locs, kind="stable")
     locs, masses = locs[order], masses[order]
-    keep_locs = [locs[0]]
-    keep_masses = [masses[0]]
-    for z, m in zip(locs[1:], masses[1:]):
-        if z - keep_locs[-1] <= merge_tol:
-            keep_masses[-1] += m
-        else:
-            keep_locs.append(z)
-            keep_masses.append(m)
-    masses = np.array(keep_masses)
+    # a gap above merge_tol always opens a group
+    opens = np.ones(locs.size, dtype=bool)
+    opens[1:] = ~(locs[1:] - locs[:-1] <= merge_tol)
+    if not opens.all():  # merge-free supports skip the grouping's fixed cost
+        locs, masses = _merge_groups(locs, masses, opens, merge_tol)
     nz = masses > 0
     masses = masses[nz] / masses[nz].sum()
-    return Atomic(np.array(keep_locs)[nz], masses)
+    return Atomic(locs[nz], masses)
+
+
+def _merge_groups(locs, masses, opens, merge_tol):
+    """Merge sorted atoms: an atom joins the open group when it lies within
+    merge_tol of the group's first atom.  opens marks the atoms whose gap to
+    the previous atom exceeds merge_tol; it is updated in place."""
+    starts = np.flatnonzero(opens)
+    ends = np.concatenate((starts[1:], [locs.size])) - 1
+    # only a chain of sub-tolerance gaps wider than merge_tol splits inside
+    for i in np.flatnonzero(locs[ends] - locs[starts] > merge_tol):
+        anchor = locs[starts[i]]
+        for j in range(starts[i] + 1, ends[i] + 1):
+            if not locs[j] - anchor <= merge_tol:
+                opens[j] = True
+                anchor = locs[j]
+    # bincount adds each group's masses left to right, as a running sum would
+    return locs[opens], np.bincount(np.cumsum(opens) - 1, weights=masses)
 
 
 def apply_bellman(
     table: ReturnTable,
     mdp: TabularMDP,
     pi: Policy,
-    merge_tol: float = 1e-12,
     grid: Optional[float] = None,
 ) -> ReturnTable:
     """One exact application of the distributional Bellman operator."""
@@ -138,7 +150,7 @@ def apply_bellman(
         ]
         total = sum(w for w, _ in parts)
         parts = [(w / total, d) for w, d in parts]
-        out[(s, a)] = compact_atoms(mixture(parts), merge_tol=merge_tol, grid=grid)
+        out[(s, a)] = compact_atoms(mixture(parts), grid=grid)
     return out
 
 
@@ -152,17 +164,16 @@ def solve_return_fixed_point(
     tol: float = 1e-8,
     max_iters: int = 10_000,
     grid: Optional[float] = None,
-    auto_grid: bool = True,
 ) -> ReturnTable:
     """Iterate the Bellman operator from the zero table to its fixed point.
 
     Stops when the supremum-W1 change drops below tol.  When no explicit
-    grid is given and auto_grid is set, a projection grid of 1e-4 times the
-    return range is used to keep atom counts bounded.
+    grid is given, a projection grid of 1e-4 times the return range is used
+    to keep atom counts bounded.
     """
     if tol <= 0:
         raise InvalidInput("tol must be positive")
-    if grid is None and auto_grid:
+    if grid is None:
         rmax = max(
             abs(r) for branches in mdp.transitions.values() for _, r, _ in branches
         )

@@ -31,8 +31,12 @@ def _parse_args(argv):
         prog="fdeval", description="Distributional off-policy evaluation toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run-lqr", "run-tabular"):
-        _add_run_flags(sub.add_parser(name, help=f"run the {name[4:]} experiment sweep"))
+    _add_run_flags(sub.add_parser("run-lqr", help="run the lqr experiment sweep"))
+    tabular = sub.add_parser("run-tabular", help="run the tabular experiment sweep")
+    _add_run_flags(tabular)
+    tabular.add_argument("--states", type=int, help="states of each random MDP")
+    tabular.add_argument("--actions", type=int, help="actions per state")
+    tabular.add_argument("--gamma", type=float, help="discount factor in (0, 1)")
     check = sub.add_parser("check", help="run a property suite")
     check.add_argument("--suite", required=True, help="suite name")
     check.add_argument("--seed", type=int, default=0)
@@ -41,6 +45,11 @@ def _parse_args(argv):
 
 
 def _run_sweep(args, experiment: str) -> int:
+    instance = {}
+    if experiment == "tabular":
+        instance = dict(
+            tabular_states=args.states, tabular_actions=args.actions, tabular_gamma=args.gamma
+        )
     config = build_config(
         file_path=args.config,
         experiment=experiment,
@@ -50,6 +59,7 @@ def _run_sweep(args, experiment: str) -> int:
         n_list=tuple(int(v) for v in args.n.split(",")) if args.n else None,
         methods=tuple(m.strip() for m in args.methods.split(",")) if args.methods else None,
         workers=args.workers,
+        **instance,
     )
     reports = run_experiment(config)
     path = write_reports(reports, config)

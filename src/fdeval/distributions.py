@@ -87,7 +87,7 @@ def mixture(parts) -> Atomic:
     if not parts:
         raise InvalidInput("mixture of zero parts")
     weights = np.array([w for w, _ in parts], dtype=float)
-    if abs(weights.sum() - 1.0) > 1e-9:
+    if abs(weights.sum() - 1.0) > _MASS_TOL:
         raise InvalidInput(f"mixture weights sum to {weights.sum()}, not 1")
     if not all(isinstance(d, Atomic) for _, d in parts):
         raise InvalidInput("mixture parts must be atomic measures")

@@ -99,6 +99,8 @@ def gaussian_k0_dmu(kernel: KernelSpec, mu, var):
     var = np.asarray(var, dtype=float)
     sd = np.sqrt(var)
     if kernel.kind == "energy":
+        if kernel.beta != 1.0:
+            raise Unsupported("closed-form energy K0 requires beta = 1")
         # d(-E|Z|)/dmu = -E sign(Z) = 2*Phi(-mu/sd) - 1
         return 2.0 * special.ndtr(-mu / sd) - 1.0
     if kernel.kind == "rbf":

@@ -285,6 +285,17 @@ def tabular_make_random(
     return TabularMDP(n_states, n_actions, transitions, gamma)
 
 
+def _choice_cdf(probs) -> np.ndarray:
+    """CDF table, per row of probs, that Generator.choice(k, p=row) searches.
+
+    ``int(cdf[i].searchsorted(rng.random(), side="right"))`` draws what
+    ``rng.choice(k, p=probs[i])`` draws and leaves the generator in the same
+    state, without re-validating the row on every draw.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    return cdf / cdf[..., -1:]
+
+
 def tabular_collect(
     mdp: TabularMDP, behavior: Policy, n: int, rng: np.random.Generator
 ) -> Dataset:
@@ -292,13 +303,16 @@ def tabular_collect(
     if n < 1:
         raise InvalidInput("n must be >= 1")
     states = rng.integers(0, mdp.n_states, size=n)
-    actions = np.array([rng.choice(mdp.n_actions, p=behavior.probs[s]) for s in states])
+    behavior_cdf = _choice_cdf(behavior.probs)
+    actions = np.array(
+        [int(behavior_cdf[s].searchsorted(rng.random(), side="right")) for s in states]
+    )
+    branch_cdf = {sa: _choice_cdf([b[0] for b in row]) for sa, row in mdp.transitions.items()}
     rewards = np.empty(n)
     next_states = np.empty(n, dtype=int)
     for i, (s, a) in enumerate(zip(states, actions)):
         branches = mdp.transitions[(s, a)]
-        probs = np.array([b[0] for b in branches])
-        j = rng.choice(len(branches), p=probs)
+        j = int(branch_cdf[(s, a)].searchsorted(rng.random(), side="right"))
         rewards[i] = branches[j][1]
         next_states[i] = branches[j][2]
     return Dataset(states, actions, rewards, next_states)
@@ -314,17 +328,18 @@ def estimate_dpi_tabular(
     """
     if n_points < 1:
         raise InvalidInput("n_points must be >= 1")
+    behavior_cdf = _choice_cdf(behavior.probs)
+    pi_cdf = _choice_cdf(pi.probs)
+    branch_cdf = {sa: _choice_cdf([b[0] for b in row]) for sa, row in mdp.transitions.items()}
     out = []
     for _ in range(n_points):
         h = 1 if mdp.gamma == 0 else int(rng.geometric(1.0 - mdp.gamma))
         s = int(rng.integers(0, mdp.n_states))
-        a = int(rng.choice(mdp.n_actions, p=behavior.probs[s]))
+        a = int(behavior_cdf[s].searchsorted(rng.random(), side="right"))
         for _ in range(h - 1):
-            branches = mdp.transitions[(s, a)]
-            probs = np.array([b[0] for b in branches])
-            j = rng.choice(len(branches), p=probs)
-            s = branches[j][2]
-            a = int(rng.choice(mdp.n_actions, p=pi.probs[s]))
+            j = int(branch_cdf[(s, a)].searchsorted(rng.random(), side="right"))
+            s = mdp.transitions[(s, a)][j][2]
+            a = int(pi_cdf[s].searchsorted(rng.random(), side="right"))
         out.append((s, a))
     return out
 

@@ -272,6 +272,7 @@ _CONFIG_FILE_KEYS = {
     "divergence": {"sigma_rbf", "sigma_lap", "b"},
     "t_selection": {"l", "delta", "c", "q", "alpha", "c_divide"},
     "optimizer": {"max_evals", "tolerance"},
+    "tabular": {"states", "actions", "gamma"},
 }
 
 
@@ -309,6 +310,11 @@ def load_config_file(path: str) -> dict:
                 out[key] = float(sec[key])
         if "b" in sec:
             out["b_samples"] = int(sec["b"])
+    if parser.has_section("tabular"):
+        sec = parser["tabular"]
+        for key, cast in (("states", int), ("actions", int), ("gamma", float)):
+            if key in sec:
+                out[f"tabular_{key}"] = cast(sec[key])
     if parser.has_section("t_selection"):
         sec = parser["t_selection"]
         kwargs = {

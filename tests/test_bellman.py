@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fdeval.bellman import (
     Policy,
@@ -74,6 +76,75 @@ def test_compact_atoms_merges_duplicates():
     np.testing.assert_allclose(out.masses, [0.5, 0.5])
 
 
+def _compact_atoms_scan(dist, merge_tol=1e-12, grid=None):
+    """Reference for compact_atoms: one pass over the sorted atoms, merging
+    each atom into the open group when it lies within merge_tol of the
+    group's first atom."""
+    locs, masses = dist.locations, dist.masses
+    if grid is not None and grid > 0:
+        lo = np.floor(locs / grid)
+        frac = locs / grid - lo
+        locs = np.concatenate([lo * grid, (lo + 1.0) * grid])
+        masses = np.concatenate([masses * (1.0 - frac), masses * frac])
+    order = np.argsort(locs, kind="stable")
+    locs, masses = locs[order], masses[order]
+    keep_locs = [locs[0]]
+    keep_masses = [masses[0]]
+    for z, m in zip(locs[1:], masses[1:]):
+        if z - keep_locs[-1] <= merge_tol:
+            keep_masses[-1] += m
+        else:
+            keep_locs.append(z)
+            keep_masses.append(m)
+    masses = np.array(keep_masses)
+    nz = masses > 0
+    masses = masses[nz] / masses[nz].sum()
+    return Atomic(np.array(keep_locs)[nz], masses)
+
+
+# gaps between consecutive atoms: exact duplicates, sub-tolerance steps whose
+# chains can grow wider than merge_tol, and ordinary separations
+_GAPS = st.one_of(st.sampled_from((0.0, 0.1, 1.3)), st.floats(2e-13, 2e-12))
+
+
+@st.composite
+def _atomic_inputs(draw):
+    n = draw(st.integers(1, 40))
+    base = draw(st.floats(-5.0, 5.0))
+    gaps = draw(st.lists(_GAPS, min_size=n - 1, max_size=n - 1))
+    locs = base + np.concatenate([[0.0], np.cumsum(gaps)])
+    order = draw(st.permutations(range(n)))
+    masses = np.array(
+        draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=n, max_size=n))
+    )
+    assume(masses.sum() > 0)
+    return Atomic(locs[order], masses[order] / masses.sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dist=_atomic_inputs(),
+    merge_tol=st.sampled_from((0.0, 1e-12, 3e-12)),
+    grid=st.sampled_from((None, 0.25, 1e-3)),
+)
+# a chain of four atoms 7e-13 apart spans 2.1e-12: the anchored rule splits it
+@example(dist=Atomic([0.0, 7e-13, 1.4e-12, 2.1e-12], [0.25] * 4), merge_tol=1e-12, grid=None)
+@example(dist=Atomic([1.0, 1.0, 2.0], [0.25, 0.25, 0.5]), merge_tol=0.0, grid=None)
+@example(dist=Atomic([0.3, 0.3, 0.7], [0.0, 1.0, 0.0]), merge_tol=1e-12, grid=0.25)
+def test_compact_atoms_matches_sequential_scan(dist, merge_tol, grid):
+    out = compact_atoms(dist, merge_tol=merge_tol, grid=grid)
+    ref = _compact_atoms_scan(dist, merge_tol=merge_tol, grid=grid)
+    assert np.array_equal(out.locations, ref.locations)
+    assert np.array_equal(out.masses, ref.masses)
+
+
+def test_compact_atoms_splits_a_chain_wider_than_merge_tol():
+    dist = Atomic([0.0, 7e-13, 1.4e-12, 2.1e-12], [0.25] * 4)
+    out = compact_atoms(dist, merge_tol=1e-12)
+    np.testing.assert_array_equal(out.locations, [0.0, 1.4e-12])
+    np.testing.assert_array_equal(out.masses, [0.5, 0.5])
+
+
 def test_fixed_point_single_loop_geometric_sum():
     gamma = 0.9
     mdp = single_loop_mdp(gamma=gamma, reward=1.0)
@@ -141,7 +212,7 @@ def test_stochastic_fixed_point_distribution():
     gamma = 0.5
     mdp = TabularMDP(1, 1, {(0, 0): ((0.5, 0.0, 0), (0.5, 1.0, 0))}, gamma)
     pi = Policy.uniform(1, 1)
-    table = solve_return_fixed_point(mdp, pi, tol=1e-8, grid=1e-5, auto_grid=False)
+    table = solve_return_fixed_point(mdp, pi, tol=1e-8, grid=1e-5)
     dist = table[(0, 0)]
     locs, masses = dist.locations, dist.masses
     mean = float(masses @ locs)

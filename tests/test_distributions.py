@@ -42,6 +42,13 @@ def test_push_forward_atomic_shifts_and_scales():
     np.testing.assert_allclose(out.masses, a.masses)
 
 
+def test_mixture_checks_weights_at_the_atomic_mass_tolerance():
+    a = Atomic([0.0], [1.0])
+    b = Atomic([1.0], [1.0])
+    with pytest.raises(InvalidInput, match="mixture weights sum to"):
+        mixture([(0.5 + 5e-10, a), (0.5, b)])
+
+
 def test_mixture_of_atomics_concatenates():
     a = Atomic([0.0], [1.0])
     b = Atomic([1.0, 2.0], [0.5, 0.5])

@@ -17,7 +17,7 @@ from fdeval.divergences import (
     mmd_squared_atomic,
     pdf_l2_gaussian,
 )
-from fdeval.errors import InvalidInput
+from fdeval.errors import InvalidInput, Unsupported
 from fdeval.metrics import MetricSpec
 
 ENERGY = KernelSpec("energy", beta=1.0)
@@ -60,6 +60,14 @@ def test_k0_gradient_matches_finite_difference(kernel):
         var = rng.uniform(0.2, 60.0)
         fd = (gaussian_k0(kernel, mu + h, var) - gaussian_k0(kernel, mu - h, var)) / (2 * h)
         assert gaussian_k0_dmu(kernel, mu, var) == pytest.approx(fd, rel=1e-4, abs=1e-10)
+
+
+def test_energy_k0_and_its_gradient_reject_beta_other_than_one():
+    kernel = KernelSpec("energy", beta=1.5)
+    with pytest.raises(Unsupported):
+        gaussian_k0(kernel, 1.0, 1.0)
+    with pytest.raises(Unsupported):
+        gaussian_k0_dmu(kernel, 1.0, 1.0)
 
 
 def test_laplace_k0_stable_at_large_variance():

@@ -215,6 +215,79 @@ def test_dpi_absorbing_chain_analytic():
     assert np.mean(states == 0) == pytest.approx(expected, abs=0.005)
 
 
+def _tabular_collect_choice(mdp, behavior, n, rng):
+    """Reference for tabular_collect: one Generator.choice call per draw."""
+    states = rng.integers(0, mdp.n_states, size=n)
+    actions = np.array([rng.choice(mdp.n_actions, p=behavior.probs[s]) for s in states])
+    rewards = np.empty(n)
+    next_states = np.empty(n, dtype=int)
+    for i, (s, a) in enumerate(zip(states, actions)):
+        branches = mdp.transitions[(s, a)]
+        probs = np.array([b[0] for b in branches])
+        j = rng.choice(len(branches), p=probs)
+        rewards[i] = branches[j][1]
+        next_states[i] = branches[j][2]
+    return Dataset(states, actions, rewards, next_states)
+
+
+def _estimate_dpi_tabular_choice(mdp, behavior, pi, n_points, rng):
+    """Reference for estimate_dpi_tabular: one Generator.choice call per draw."""
+    out = []
+    for _ in range(n_points):
+        h = 1 if mdp.gamma == 0 else int(rng.geometric(1.0 - mdp.gamma))
+        s = int(rng.integers(0, mdp.n_states))
+        a = int(rng.choice(mdp.n_actions, p=behavior.probs[s]))
+        for _ in range(h - 1):
+            branches = mdp.transitions[(s, a)]
+            probs = np.array([b[0] for b in branches])
+            j = rng.choice(len(branches), p=probs)
+            s = branches[j][2]
+            a = int(rng.choice(mdp.n_actions, p=pi.probs[s]))
+        out.append((s, a))
+    return out
+
+
+def _policy(kind, n_states, n_actions, rng):
+    if kind == "uniform":
+        return Policy.uniform(n_states, n_actions)
+    if kind == "deterministic":
+        return Policy.deterministic(rng.integers(0, n_actions, size=n_states), n_actions)
+    return Policy(rng.dirichlet(np.ones(n_actions), size=n_states))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_states=st.integers(1, 4),
+    n_actions=st.integers(1, 3),
+    gamma=st.sampled_from((0.0, 1e-9, 0.5, 0.9)),
+    behavior_kind=st.sampled_from(("uniform", "deterministic", "random")),
+    pi_kind=st.sampled_from(("uniform", "deterministic", "random")),
+)
+@example(seed=0, n_states=1, n_actions=1, gamma=0.9, behavior_kind="uniform", pi_kind="uniform")
+@example(seed=1, n_states=3, n_actions=2, gamma=1e-9, behavior_kind="deterministic",
+         pi_kind="deterministic")
+def test_tabular_samplers_match_generator_choice(
+    seed, n_states, n_actions, gamma, behavior_kind, pi_kind
+):
+    """Same draws, and the same generator state afterwards, as rng.choice."""
+    setup = np.random.default_rng(seed)
+    mdp = tabular_make_random(n_states, n_actions, 2, setup, gamma=gamma)
+    behavior = _policy(behavior_kind, n_states, n_actions, setup)
+    pi = _policy(pi_kind, n_states, n_actions, setup)
+    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    data = tabular_collect(mdp, behavior, 200, rng)
+    ref = _tabular_collect_choice(mdp, behavior, 200, ref_rng)
+    for name in ("states", "actions", "rewards", "next_states"):
+        out, want = getattr(data, name), getattr(ref, name)
+        assert np.array_equal(out, want) and out.dtype == want.dtype
+    assert rng.random() == ref_rng.random()
+    pts = estimate_dpi_tabular(mdp, behavior, pi, 100, rng)
+    assert pts == _estimate_dpi_tabular_choice(mdp, behavior, pi, 100, ref_rng)
+    assert all(type(s) is int and type(a) is int for s, a in pts)
+    assert rng.random() == ref_rng.random()
+
+
 def test_dpi_lqr_shapes_and_decay():
     env = LQREnv.default()
     xs, acts = estimate_dpi_lqr(env, 2000, np.random.default_rng(18))

@@ -185,6 +185,43 @@ def test_cli_rejects_zero_dpi_points_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+def _meta_config(csv_path):
+    return json.loads(csv_path.with_name(csv_path.name + ".meta.json").read_text())["config"]
+
+
+def test_cli_run_tabular_instance_flags(tmp_path, capsys):
+    out = tmp_path / "tab.csv"
+    code = main(["run-tabular", "--states", "1", "--actions", "2", "--gamma", "0.5",
+                 "--methods", "kl", "--n", "60", "--reps", "1", "--out", str(out)])
+    assert code == 0
+    assert "wrote 1 rows" in capsys.readouterr().out
+    meta = _meta_config(out)
+    assert (meta["tabular_states"], meta["tabular_actions"], meta["tabular_gamma"]) == (1, 2, 0.5)
+
+
+def test_config_file_tabular_section(tmp_path, capsys):
+    cfg = tmp_path / "tab.ini"
+    cfg.write_text("[tabular]\nstates = 2\nactions = 1\ngamma = 0.6\n")
+    out = tmp_path / "tab.csv"
+    code = main(["run-tabular", "--config", str(cfg), "--gamma", "0.5", "--methods", "kl",
+                 "--n", "60", "--reps", "1", "--out", str(out)])
+    assert code == 0
+    meta = _meta_config(out)
+    # the flag wins over the file
+    assert (meta["tabular_states"], meta["tabular_actions"], meta["tabular_gamma"]) == (2, 1, 0.5)
+
+
+def test_cli_rejects_tabular_section_on_lqr(tmp_path, capsys):
+    cfg = tmp_path / "lqr.ini"
+    cfg.write_text("[experiment]\nkind = lqr\n[tabular]\nstates = 3\n")
+    out = tmp_path / "lqr.csv"
+    code = main(["run-lqr", "--config", str(cfg), "--methods", "kl", "--n", "60",
+                 "--reps", "1", "--out", str(out)])
+    assert code == 1
+    assert "tabular_states" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failure_becomes_nan_row(monkeypatch, tmp_path):
     from fdeval import harness
     from fdeval.errors import OptimizationFailure
