@@ -12,18 +12,17 @@ import sys
 
 from .envs import LQREnv, lqr_true_params
 from .errors import FdevalError
-from .harness import build_config, run_experiment, write_reports
+from .harness import SETTINGS, build_config, parse_setting, run_experiment, write_reports
 from .suites import run_property_suite
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser, experiment: str) -> None:
     parser.add_argument("--config", help="config file (key = value sections)")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--out", help="CSV output path")
-    parser.add_argument("--reps", type=int, help="replications per (method, n)")
-    parser.add_argument("--n", help="comma-separated sample sizes")
-    parser.add_argument("--methods", help="comma-separated method names")
-    parser.add_argument("--workers", type=int, help="parallel worker cap")
+    for name, setting in SETTINGS.items():
+        if setting.flag and setting.reader in (None, experiment):
+            parser.add_argument(
+                f"--{setting.key}", dest=name, metavar=setting.key.upper(), help=setting.flag
+            )
 
 
 def _parse_args(argv):
@@ -31,12 +30,11 @@ def _parse_args(argv):
         prog="fdeval", description="Distributional off-policy evaluation toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_run_flags(sub.add_parser("run-lqr", help="run the lqr experiment sweep"))
-    tabular = sub.add_parser("run-tabular", help="run the tabular experiment sweep")
-    _add_run_flags(tabular)
-    tabular.add_argument("--states", type=int, help="states of each random MDP")
-    tabular.add_argument("--actions", type=int, help="actions per state")
-    tabular.add_argument("--gamma", type=float, help="discount factor in (0, 1)")
+    for experiment in ("lqr", "tabular"):
+        _add_run_flags(
+            sub.add_parser(f"run-{experiment}", help=f"run the {experiment} experiment sweep"),
+            experiment,
+        )
     check = sub.add_parser("check", help="run a property suite")
     check.add_argument("--suite", required=True, help="suite name")
     check.add_argument("--seed", type=int, default=0)
@@ -45,22 +43,12 @@ def _parse_args(argv):
 
 
 def _run_sweep(args, experiment: str) -> int:
-    instance = {}
-    if experiment == "tabular":
-        instance = dict(
-            tabular_states=args.states, tabular_actions=args.actions, tabular_gamma=args.gamma
-        )
-    config = build_config(
-        file_path=args.config,
-        experiment=experiment,
-        master_seed=args.seed,
-        output_path=args.out,
-        reps=args.reps,
-        n_list=tuple(int(v) for v in args.n.split(",")) if args.n else None,
-        methods=tuple(m.strip() for m in args.methods.split(",")) if args.methods else None,
-        workers=args.workers,
-        **instance,
-    )
+    flags = {
+        name: parse_setting(setting.parse, getattr(args, name), f"--{setting.key}")
+        for name, setting in SETTINGS.items()
+        if getattr(args, name, None) is not None
+    }
+    config = build_config(args.config, experiment=experiment, **flags)
     reports = run_experiment(config)
     path = write_reports(reports, config)
     print(f"wrote {len(reports)} rows to {path}")

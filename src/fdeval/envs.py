@@ -207,34 +207,30 @@ def parameter_bellman_map(env: LQREnv, theta: LQRTheta) -> LQRTheta:
     return LQRTheta(new_m1, new_m2, new_m3)
 
 
-def parameter_map_spectral_radius(env: LQREnv) -> float:
-    """Spectral radius of the linear part of the parameter Bellman map."""
+def _parameter_map_linear_part(env: LQREnv) -> np.ndarray:
+    """12x12 matrix L of the affine parameter Bellman map theta -> L theta + T(0)."""
     zero_env = LQREnv(
         env.a_mat, env.b_mat, np.zeros((2, 2)), np.zeros((2, 2)), env.k_gain,
         env.sigma0, env.gamma,
     )
-    basis = np.eye(12)
-    lin = np.column_stack(
-        [parameter_bellman_map(zero_env, LQRTheta.from_vector(e)).to_vector() for e in basis]
+    return np.column_stack(
+        [parameter_bellman_map(zero_env, LQRTheta.from_vector(e)).to_vector() for e in np.eye(12)]
     )
-    return float(np.max(np.abs(np.linalg.eigvals(lin))))
 
 
-def lqr_true_params(env: LQREnv, tol: float = 1e-12, max_iters: int = 100_000) -> LQRTheta:
-    """Fixed point of the parameter Bellman map, iterated from zero."""
-    if tol <= 0:
-        raise InvalidInput("tol must be positive")
-    radius = parameter_map_spectral_radius(env)
+def parameter_map_spectral_radius(env: LQREnv) -> float:
+    """Spectral radius of the linear part of the parameter Bellman map."""
+    return float(np.max(np.abs(np.linalg.eigvals(_parameter_map_linear_part(env)))))
+
+
+def lqr_true_params(env: LQREnv) -> LQRTheta:
+    """Fixed point of the parameter Bellman map: one solve of (I - L) theta = T(0)."""
+    lin = _parameter_map_linear_part(env)
+    radius = float(np.max(np.abs(np.linalg.eigvals(lin))))
     if radius >= 1.0:
         raise NonConvergence(f"parameter map is not a contraction (radius {radius:.4f})")
-    theta = LQRTheta.zero()
-    for _ in range(max_iters):
-        nxt = parameter_bellman_map(env, theta)
-        change = float(np.max(np.abs(nxt.to_vector() - theta.to_vector())))
-        theta = nxt
-        if change <= tol:
-            return theta
-    raise NonConvergence("parameter fixed point not reached", residual=change)
+    offset = parameter_bellman_map(env, LQRTheta.zero()).to_vector()
+    return LQRTheta.from_vector(np.linalg.solve(np.eye(12) - lin, offset))
 
 
 def lqr_rollout_return_mean(env: LQREnv, x0: np.ndarray, a0: np.ndarray, horizon: int) -> float:

@@ -44,21 +44,10 @@ class TSelectionParams:
 
 
 @dataclass(frozen=True)
-class OptimizerSettings:
-    max_evals: int = 2000
-    tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise InvalidInput("tolerance must be positive")
-
-
-@dataclass(frozen=True)
 class FDEConfig:
     divergence: DivergenceSpec
     t_params: TSelectionParams = field(default_factory=TSelectionParams)
     explicit_t: Optional[int] = None
-    optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
 
 
 def choose_t(n_total: int, gamma: float, params: TSelectionParams) -> int:
@@ -122,7 +111,7 @@ def _objective_and_grad(problem: _FoldProblem, spec: DivergenceSpec, vec: np.nda
 
 
 def _minimize_fold(problem: _FoldProblem, spec: DivergenceSpec, start: np.ndarray,
-                   settings: OptimizerSettings, iteration: int):
+                   iteration: int):
     """L-BFGS-B from the warm start; returns (theta vector, objective, start objective).
 
     Descent contract: the fit never ends above its warm start.
@@ -133,7 +122,7 @@ def _minimize_fold(problem: _FoldProblem, spec: DivergenceSpec, start: np.ndarra
     start_obj = fun_jac(start)[0]
     result = optimize.minimize(
         fun_jac, start, jac=True, method="L-BFGS-B",
-        options={"maxfun": settings.max_evals, "gtol": settings.tolerance, "ftol": 1e-14},
+        options={"maxfun": 2000, "gtol": 1e-8, "ftol": 1e-14},
     )
     if not np.isfinite(result.fun):
         raise OptimizationFailure("non-finite objective", iteration=iteration)
@@ -165,7 +154,7 @@ def _run_iterations(data: Dataset, env: LQREnv, config: FDEConfig, spec: Diverge
     warm_start_values = []
     for t, fold in enumerate(folds, start=1):
         problem = targets(_FoldProblem.from_fold(fold, env, LQRTheta.from_vector(theta_vec)))
-        theta_vec, obj, start_obj = _minimize_fold(problem, spec, theta_vec, config.optimizer, t)
+        theta_vec, obj, start_obj = _minimize_fold(problem, spec, theta_vec, t)
         objective_values.append(obj)
         warm_start_values.append(start_obj)
     return LQRTheta.from_vector(theta_vec), FitTrace(objective_values, warm_start_values, len(folds))

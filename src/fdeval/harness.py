@@ -13,8 +13,8 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,23 +33,9 @@ from .envs import (
 )
 from .errors import FdevalError, InvalidInput
 from .evaluation import InaccuracyReport, lqr_inaccuracy, tabular_inaccuracy
-from .fde import (
-    FDEConfig,
-    OptimizerSettings,
-    TSelectionParams,
-    choose_t,
-    fde_run,
-    fle_run,
-    split_dataset,
-)
+from .fde import FDEConfig, TSelectionParams, choose_t, fde_run, fle_run, split_dataset
 
 LQR_METHODS = ("cramer", "energy", "rbf", "laplace", "pdf_l2", "kl", "fle")
-
-# settings that each experiment never reads; a non-default value is rejected
-_UNREAD_BY = {
-    "lqr": ("tabular_states", "tabular_actions", "tabular_gamma"),
-    "tabular": ("sigma_rbf", "sigma_lap", "b_samples", "optimizer"),
-}
 
 CSV_HEADER = ["method", "n", "rep", "seed", "T", "inaccuracy", "runtime_ms", "failed"]
 
@@ -58,6 +44,52 @@ _TAG_DATA = 0
 _TAG_DPI = 1
 _TAG_METHOD = 2
 _TAG_INSTANCE = 3
+
+_TABULAR_FIT_GRID = 1e-3  # compaction grid of the tabular fold fits
+
+
+def _listed(parse):
+    return lambda text: tuple(parse(v.strip()) for v in text.split(",") if v.strip())
+
+
+class Setting(NamedTuple):
+    """Where one ExperimentConfig field comes from: ``key`` under ``[section]``
+    in a config file, and the ``--key`` flag when ``flag`` (its help) is set.
+    A setting that one experiment ``reader`` alone reads is ``None`` until
+    set; the reader fills in ``default`` and the other experiment rejects it."""
+
+    section: str
+    key: str
+    parse: Callable[[str], object]
+    flag: Optional[str] = None
+    reader: Optional[str] = None
+    default: object = None
+
+
+SETTINGS = {
+    "experiment": Setting("experiment", "kind", str),
+    "master_seed": Setting("experiment", "seed", int, "master seed"),
+    "output_path": Setting("experiment", "out", str, "CSV output path"),
+    "reps": Setting("experiment", "reps", int, "replications per (method, n)"),
+    "n_list": Setting("experiment", "n", _listed(int), "comma-separated sample sizes"),
+    "methods": Setting("experiment", "methods", _listed(str), "comma-separated method names"),
+    "workers": Setting("experiment", "workers", int, "parallel worker cap"),
+    "dpi_points": Setting("experiment", "dpi_points", int),
+    "sigma_rbf": Setting("divergence", "sigma_rbf", float, reader="lqr", default=1.0),
+    "sigma_lap": Setting("divergence", "sigma_lap", float, reader="lqr", default=1.0),
+    "b_samples": Setting("divergence", "b", int, reader="lqr", default=1),
+    "tabular_states": Setting("tabular", "states", int, "states of each random MDP", "tabular", 4),
+    "tabular_actions": Setting("tabular", "actions", int, "actions per state", "tabular", 2),
+    "tabular_gamma": Setting("tabular", "gamma", float, "discount factor in (0, 1)", "tabular", 0.9),
+}
+
+
+def parse_setting(parse: Callable[[str], object], text: str, where: str):
+    """``parse(text)``; a value that does not parse is InvalidInput naming ``where``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise InvalidInput(f"{where}: cannot parse {text!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -69,41 +101,40 @@ class ExperimentConfig:
     n_list: tuple = (300, 1000)
     reps: int = 50
     master_seed: int = 0
-    sigma_rbf: float = 1.0
-    sigma_lap: float = 1.0
-    b_samples: int = 1
+    sigma_rbf: Optional[float] = None
+    sigma_lap: Optional[float] = None
+    b_samples: Optional[int] = None
     t_params: TSelectionParams = field(default_factory=TSelectionParams)
-    optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
     workers: int = 1
     output_path: str = "results.csv"
     dpi_points: int = 1000
-    tabular_states: int = 4
-    tabular_actions: int = 2
-    tabular_gamma: float = 0.9
+    tabular_states: Optional[int] = None
+    tabular_actions: Optional[int] = None
+    tabular_gamma: Optional[float] = None
 
     def __post_init__(self):
         if self.experiment not in ("lqr", "tabular"):
             raise InvalidInput(f"unknown experiment {self.experiment!r}")
+        unread = []
+        for name, setting in SETTINGS.items():
+            if setting.reader == self.experiment and getattr(self, name) is None:
+                object.__setattr__(self, name, setting.default)
+            elif setting.reader not in (None, self.experiment) and getattr(self, name) is not None:
+                unread.append(name)
+        if unread:
+            raise InvalidInput(f"the {self.experiment} experiment never reads {unread}")
         if self.reps < 1 or not self.n_list or min(self.n_list) < 1 or self.workers < 1:
             raise InvalidInput("reps, workers and every n must be >= 1, n_list nonempty")
         unknown = set(self.methods) - set(LQR_METHODS)
         if not self.methods or unknown:
             raise InvalidInput(f"unknown methods: {sorted(unknown)}")
-        if min(self.b_samples, self.dpi_points, self.tabular_states, self.tabular_actions) < 1:
+        counts = (self.b_samples, self.dpi_points, self.tabular_states, self.tabular_actions)
+        if min(v for v in counts if v is not None) < 1:
             raise InvalidInput(
                 "b_samples, dpi_points, tabular_states and tabular_actions must be >= 1"
             )
-        if not 0 < self.tabular_gamma < 1:
+        if self.tabular_gamma is not None and not 0 < self.tabular_gamma < 1:
             raise InvalidInput(f"tabular_gamma must lie in (0, 1), got {self.tabular_gamma}")
-        defaults = {
-            f.name: f.default_factory() if f.default is MISSING else f.default
-            for f in fields(self)
-        }
-        unread = [
-            name for name in _UNREAD_BY[self.experiment] if getattr(self, name) != defaults[name]
-        ]
-        if unread:
-            raise InvalidInput(f"the {self.experiment} experiment never reads {unread}")
 
 
 def divergence_for_method(method: str, config: ExperimentConfig) -> DivergenceSpec:
@@ -140,7 +171,6 @@ def _run_lqr_cell(config: ExperimentConfig, method: str, n: int, rep: int) -> In
     fde_config = FDEConfig(
         divergence=divergence_for_method(method, config),
         t_params=config.t_params,
-        optimizer=config.optimizer,
     )
     start = time.perf_counter()
     if method == "fle":
@@ -157,7 +187,7 @@ def _run_lqr_cell(config: ExperimentConfig, method: str, n: int, rep: int) -> In
     )
 
 
-def _tabular_fde(data, mdp, pi, t_count, grid=1e-3):
+def _tabular_fde(data, mdp, pi, t_count):
     """Nonparametric fold fits: each covered pair becomes the empirical
     mixture of its sample backups; uncovered pairs carry over."""
     from .bellman import zero_table
@@ -172,7 +202,7 @@ def _tabular_fde(data, mdp, pi, t_count, grid=1e-3):
         for sa, obs in by_pair.items():
             w = 1.0 / len(obs)
             parts = [(w, bellman_backup(r, sp, table, pi, mdp.gamma)) for r, sp in obs]
-            fitted[sa] = compact_atoms(mixture(parts), grid=grid)
+            fitted[sa] = compact_atoms(mixture(parts), grid=_TABULAR_FIT_GRID)
         table = fitted
     return table
 
@@ -250,9 +280,7 @@ def write_reports(reports, config: ExperimentConfig, path: Optional[str] = None)
             )
     meta = {
         "version": __version__,
-        "config": _config_dict(config),
-        "optimizer": asdict(config.optimizer),
-        "t_selection": asdict(config.t_params),
+        "config": asdict(config),
         "dpi_scheme": "geometric-horizon occupancy sample, refreshed per replication",
     }
     with open(path + ".meta.json", "w") as fh:
@@ -260,77 +288,29 @@ def write_reports(reports, config: ExperimentConfig, path: Optional[str] = None)
     return path
 
 
-def _config_dict(config: ExperimentConfig) -> dict:
-    out = asdict(config)
-    out["methods"] = list(config.methods)
-    out["n_list"] = list(config.n_list)
-    return out
-
-
-_CONFIG_FILE_KEYS = {
-    "experiment": {"kind", "methods", "n", "reps", "seed", "workers", "dpi_points", "out"},
-    "divergence": {"sigma_rbf", "sigma_lap", "b"},
-    "t_selection": {"l", "delta", "c", "q", "alpha", "c_divide"},
-    "optimizer": {"max_evals", "tolerance"},
-    "tabular": {"states", "actions", "gamma"},
-}
-
-
 def load_config_file(path: str) -> dict:
     """Read a key = value config file into override kwargs for ExperimentConfig.
 
-    A section or key that nothing reads is rejected rather than ignored.
+    Its keys are those of SETTINGS, plus the TSelectionParams fields under
+    ``[t_selection]``; a section or key that nothing reads is rejected.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise InvalidInput(f"cannot read config file {path!r}")
-    for name in parser.sections():
-        unknown = set(parser[name]) - _CONFIG_FILE_KEYS.get(name, set())
-        if name not in _CONFIG_FILE_KEYS or unknown:
-            raise InvalidInput(f"unknown config file section or keys: [{name}] {sorted(unknown)}")
-    out = {}
-    if parser.has_section("experiment"):
-        sec = parser["experiment"]
-        if "kind" in sec:
-            out["experiment"] = sec["kind"]
-        if "methods" in sec:
-            out["methods"] = tuple(m.strip() for m in sec["methods"].split(",") if m.strip())
-        if "n" in sec:
-            out["n_list"] = tuple(int(v) for v in sec["n"].split(","))
-        for key, cast in (("reps", int), ("seed", int), ("workers", int), ("dpi_points", int)):
-            if key in sec:
-                out["master_seed" if key == "seed" else key] = cast(sec[key])
-        if "out" in sec:
-            out["output_path"] = sec["out"]
-    if parser.has_section("divergence"):
-        sec = parser["divergence"]
-        for key in ("sigma_rbf", "sigma_lap"):
-            if key in sec:
-                out[key] = float(sec[key])
-        if "b" in sec:
-            out["b_samples"] = int(sec["b"])
-    if parser.has_section("tabular"):
-        sec = parser["tabular"]
-        for key, cast in (("states", int), ("actions", int), ("gamma", float)):
-            if key in sec:
-                out[f"tabular_{key}"] = cast(sec[key])
-    if parser.has_section("t_selection"):
-        sec = parser["t_selection"]
-        kwargs = {
-            key: float(sec[key])
-            for key in ("l", "delta", "c", "q", "alpha", "c_divide")
-            if key in sec
-        }
-        out["t_params"] = TSelectionParams(**kwargs)
-    if parser.has_section("optimizer"):
-        sec = parser["optimizer"]
-        kwargs = {}
-        if "max_evals" in sec:
-            kwargs["max_evals"] = int(sec["max_evals"])
-        if "tolerance" in sec:
-            kwargs["tolerance"] = float(sec["tolerance"])
-        out["optimizer"] = OptimizerSettings(**kwargs)
+    keys = {(s.section, s.key): (name, s.parse) for name, s in SETTINGS.items()}
+    keys.update({("t_selection", f.name): (f.name, float) for f in fields(TSelectionParams)})
+    out, t_params = {}, {}
+    for section in parser.sections():
+        if section not in {sec for sec, _ in keys}:
+            raise InvalidInput(f"unknown config file section [{section}]")
+        for key, text in parser[section].items():
+            if (section, key) not in keys:
+                raise InvalidInput(f"unknown config file key [{section}] {key}")
+            name, parse = keys[section, key]
+            value = parse_setting(parse, text, f"[{section}] {key}")
+            (t_params if section == "t_selection" else out)[name] = value
+    if t_params:
+        out["t_params"] = TSelectionParams(**t_params)
     return out
 
 

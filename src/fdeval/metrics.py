@@ -23,15 +23,16 @@ class MetricSpec:
     """Base-metric selector with its scale-sensitivity and convexity constants.
 
     kind: "wasserstein" (p >= 1), "mmd" (with kernel), or "cramer".
-    The (c, q) pair defaults to the survey constants: Wasserstein-p has
-    c = 1, q = p; energy MMD has c = beta/2, q = 1; Cramer has c = 1/2, q = 2.
+    The (c, q) pair is derived from the kind, as the survey constants:
+    Wasserstein-p has c = 1, q = p; energy MMD has c = beta/2, q = 1 (no c
+    for other kernels); Cramer has c = 1/2, q = 2.
     """
 
     kind: str
     p: float = 1.0
     kernel: Optional[KernelSpec] = None
-    c: float = field(default=None)  # type: ignore[assignment]
-    q: float = field(default=None)  # type: ignore[assignment]
+    c: Optional[float] = field(init=False)
+    q: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ("wasserstein", "mmd", "cramer"):
@@ -40,21 +41,12 @@ class MetricSpec:
             raise InvalidInput("wasserstein order must be >= 1")
         if self.kind == "mmd" and self.kernel is None:
             raise InvalidInput("mmd metric needs a kernel")
-        c, q = self.c, self.q
-        if c is None:
-            if self.kind == "wasserstein":
-                c = 1.0
-            elif self.kind == "mmd":
-                c = self.kernel.beta / 2.0 if self.kernel.kind == "energy" else None
-            else:
-                c = 0.5
-        if q is None:
-            if self.kind == "wasserstein":
-                q = self.p
-            elif self.kind == "mmd":
-                q = 1.0
-            else:
-                q = 2.0
+        if self.kind == "wasserstein":
+            c, q = 1.0, self.p
+        elif self.kind == "mmd":
+            c, q = (self.kernel.beta / 2.0 if self.kernel.kind == "energy" else None), 1.0
+        else:
+            c, q = 0.5, 2.0
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "q", q)
 
@@ -163,7 +155,6 @@ def slc_property_check(
     trials: int,
     rng: np.random.Generator,
     c_override: Optional[float] = None,
-    q_override: Optional[float] = None,
     tol: float = 1e-9,
 ) -> dict:
     """Randomized check of scale-sensitivity, location-insensitivity, q-convexity.
@@ -174,7 +165,7 @@ def slc_property_check(
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
     c = metric.c if c_override is None else c_override
-    q = metric.q if q_override is None else q_override
+    q = metric.q
     violations = []
     for trial in range(trials):
         x = _random_atomic(rng)

@@ -24,6 +24,7 @@ from .divergences import (
 )
 from .envs import tabular_collect, tabular_make_random
 from .errors import InvalidInput
+from .fde import split_dataset
 from .metrics import (
     ExtensionSpec,
     MetricSpec,
@@ -371,12 +372,10 @@ def telescoping_suite(seed: int, runs: int = 20, tol: float = 1e-6) -> dict:
         behavior = Policy.uniform(mdp.n_states, mdp.n_actions)
         data = tabular_collect(mdp, behavior, 40, rng)
         t_count = 5
-        fold_size = len(data) // t_count
         table = zero_table(mdp)
         zeta = mdp.gamma  # supremum extension of W1 contracts with gamma
         step_errors = []
-        for t in range(t_count):
-            fold = data.slice(t * fold_size, (t + 1) * fold_size if t < t_count - 1 else len(data))
+        for fold in split_dataset(data, t_count):
             exact = apply_bellman(table, mdp, pi)
             fitted = dict(table)
             for s, a in set(zip(fold.states.tolist(), fold.actions.tolist())):

@@ -240,8 +240,7 @@ def test_population_minimizer_consistency(name):
     data = _dummy_dataset(100_000, seed=11)
     config = FDEConfig(divergence=CLOSED_FORM_SPECS[name], explicit_t=1)
     problem = _FoldProblem.from_fold(data, env, theta_star)
-    vec, _, _ = _minimize_fold(problem, config.divergence, theta_star.to_vector(),
-                               config.optimizer, 1)
+    vec, _, _ = _minimize_fold(problem, config.divergence, theta_star.to_vector(), 1)
     fitted = LQRTheta.from_vector(vec)
     probe = lqr_collect(env, 4000, np.random.default_rng(12))
     gap = np.abs(

@@ -1,14 +1,17 @@
 """Tests for the experiment harness, config layering, CSV output and CLI."""
 
 import csv
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fdeval.cli import main
 from fdeval.errors import InvalidInput
-from fdeval.fde import OptimizerSettings, TSelectionParams
+from fdeval.fde import TSelectionParams
 from fdeval.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -53,7 +56,7 @@ def test_config_validation():
         ("tabular", dict(sigma_rbf=2.0)),
         ("tabular", dict(sigma_lap=2.0)),
         ("tabular", dict(b_samples=4)),
-        ("tabular", dict(optimizer=OptimizerSettings(max_evals=500))),
+        ("tabular", dict(sigma_rbf=1.0)),  # present at its default: still rejected
         ("lqr", dict(tabular_states=3)),
         ("lqr", dict(tabular_actions=3)),
         ("lqr", dict(tabular_gamma=0.5)),
@@ -79,7 +82,7 @@ def test_small_sweep_and_csv(tmp_path):
     assert len(rows) == 3
     meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
     assert meta["config"]["master_seed"] == 0
-    assert meta["t_selection"]["c_divide"] == 5.0
+    assert meta["config"]["t_params"]["c_divide"] == 5.0
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path):
@@ -129,8 +132,6 @@ def test_config_file_and_flag_precedence(tmp_path):
         "b = 4\n"
         "[t_selection]\n"
         "c_divide = 10\n"
-        "[optimizer]\n"
-        "max_evals = 500\n"
     )
     loaded = load_config_file(str(cfg))
     assert loaded["methods"] == ("kl", "pdf_l2")
@@ -141,7 +142,6 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert config.sigma_rbf == 2.5
     assert config.b_samples == 4
     assert config.t_params.c_divide == 10.0
-    assert config.optimizer.max_evals == 500
 
 
 def test_config_file_errors(tmp_path):
@@ -154,12 +154,102 @@ def test_config_file_errors(tmp_path):
         "[experiment]\nkind = lqr\n[extra]\n",  # a section that nothing reads
         "[optimizer]\ngradient_mode = analytic\n",  # removed: one gradient path
         "[optimizer]\nfd_step = 1e-5\n",  # removed with finite differences
+        "[optimizer]\nmax_evals = 500\n",  # removed: the fit's limits are constants
         "[experiment]\nkind = tabular\n[divergence]\nsigma_rbf = 2\n",  # unread by tabular
     ):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(body)
         with pytest.raises(InvalidInput):
             build_config(str(cfg))
+
+
+def test_config_file_values_that_do_not_parse_are_invalid_input(tmp_path):
+    for body, where in (
+        ("[experiment]\nkind = tabular\n[tabular]\nstates = abc\n", r"\[tabular\] states"),
+        ("[experiment]\nreps = x\n", r"\[experiment\] reps"),
+        ("[experiment]\nn = 300, 1e3x\n", r"\[experiment\] n"),
+        ("[t_selection]\nc_divide = five\n", r"\[t_selection\] c_divide"),
+    ):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(body)
+        with pytest.raises(InvalidInput, match=where):
+            build_config(str(cfg))
+
+
+def test_unread_setting_is_rejected_even_at_its_default(tmp_path):
+    cfg = tmp_path / "lqr.ini"
+    cfg.write_text("[experiment]\nkind = lqr\n[tabular]\nstates = 4\n")
+    with pytest.raises(InvalidInput, match="never reads"):
+        build_config(str(cfg))
+    # unset, each experiment fills in the settings it reads
+    lqr, tabular = ExperimentConfig(), ExperimentConfig(experiment="tabular")
+    assert (lqr.sigma_rbf, lqr.sigma_lap, lqr.b_samples, lqr.tabular_states) == (1.0, 1.0, 1, None)
+    assert (tabular.tabular_states, tabular.tabular_actions, tabular.tabular_gamma) == (4, 2, 0.9)
+    assert tabular.sigma_rbf is None
+
+
+@pytest.mark.parametrize("flags", [["--n", "3x"], ["--reps", "x"], ["--seed", "1.5"]])
+def test_cli_bad_flag_value_exits_1_without_output(tmp_path, capsys, flags):
+    out = tmp_path / "bad.csv"
+    code = main(["run-lqr", "--methods", "kl", "--n", "60", "--reps", "1", "--out", str(out)]
+                + flags)
+    assert code == 1
+    assert f"error: {flags[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_config_examples_load(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        cfg = tmp_path / f"readme{i}.ini"
+        cfg.write_text(block)
+        build_config(str(cfg))
+
+
+# base sweeps small enough to rerun once per field; each sets a setting that
+# only its experiment reads, so switching the experiment alone is rejected
+_PERTURB_BASE = {
+    "lqr": dict(methods=("rbf", "laplace", "fle"), n_list=(60,), reps=1, dpi_points=100,
+                sigma_rbf=1.0),
+    "tabular": dict(methods=("kl",), n_list=(60,), reps=1, dpi_points=100,
+                    tabular_states=2, tabular_actions=1, tabular_gamma=0.9),
+}
+_PERTURBED = dict(
+    methods=("rbf", "laplace"), n_list=(70,), reps=2, master_seed=1, sigma_rbf=2.0,
+    sigma_lap=2.0, b_samples=3, t_params=TSelectionParams(c_divide=4.0), workers=2,
+    dpi_points=120, tabular_states=1, tabular_actions=2, tabular_gamma=0.8,
+)
+
+
+@pytest.mark.parametrize("experiment", ["lqr", "tabular"])
+def test_every_setting_changes_the_reports_or_is_rejected(experiment, tmp_path):
+    base = dict(_PERTURB_BASE[experiment], experiment=experiment,
+                output_path=str(tmp_path / "base.csv"))
+    perturbed = dict(_PERTURBED, experiment="tabular" if experiment == "lqr" else "lqr",
+                     output_path=str(tmp_path / "moved.csv"))
+
+    def reports(config):
+        return [dataclasses.replace(r, runtime_ms=0.0) for r in run_experiment(config)]
+
+    reference = reports(ExperimentConfig(**base))
+    assert not any(r.failed for r in reference)
+    for f in dataclasses.fields(ExperimentConfig):
+        try:
+            config = ExperimentConfig(**dict(base, **{f.name: perturbed[f.name]}))
+        except InvalidInput as exc:
+            assert "never reads" in str(exc), f.name
+            continue
+        got = reports(config)
+        if f.name == "workers":
+            assert got == reference
+        elif f.name == "output_path":
+            assert got == reference
+            assert write_reports(got, config) == perturbed["output_path"]
+            assert (tmp_path / "moved.csv").exists() and not (tmp_path / "base.csv").exists()
+        else:
+            assert got != reference, f.name
 
 
 def test_cli_rejects_b_zero_before_running(tmp_path, capsys):
