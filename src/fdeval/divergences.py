@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from .distributions import Atomic, GaussianMixture1D
-from .errors import InvalidInput, Unsupported
+from .errors import InvalidInput
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -25,18 +25,15 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 class KernelSpec:
     """Shift-invariant kernel selector.
 
-    kind: "energy" (beta in (0,2)), "rbf" (sigma > 0) or "laplace" (sigma > 0).
+    kind: "energy" (exponent 1), "rbf" (sigma > 0) or "laplace" (sigma > 0).
     """
 
     kind: str
-    beta: float = 1.0
     sigma: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("energy", "rbf", "laplace"):
             raise InvalidInput(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "energy" and not 0 < self.beta < 2:
-            raise InvalidInput(f"energy exponent must lie in (0, 2), got {self.beta}")
         if self.kind in ("rbf", "laplace") and not self.sigma > 0:
             raise InvalidInput(f"kernel bandwidth must be positive, got {self.sigma}")
 
@@ -74,8 +71,6 @@ def gaussian_k0(kernel: KernelSpec, mu: float, var: float):
         raise InvalidInput("variance must be positive")
     sd = np.sqrt(var)
     if kernel.kind == "energy":
-        if kernel.beta != 1.0:
-            raise Unsupported("closed-form energy K0 requires beta = 1")
         # -E|Z| (mean of a folded normal)
         absmu = np.abs(mu)
         return -(
@@ -99,8 +94,6 @@ def gaussian_k0_dmu(kernel: KernelSpec, mu, var):
     var = np.asarray(var, dtype=float)
     sd = np.sqrt(var)
     if kernel.kind == "energy":
-        if kernel.beta != 1.0:
-            raise Unsupported("closed-form energy K0 requires beta = 1")
         # d(-E|Z|)/dmu = -E sign(Z) = 2*Phi(-mu/sd) - 1
         return 2.0 * special.ndtr(-mu / sd) - 1.0
     if kernel.kind == "rbf":
@@ -142,7 +135,23 @@ def kl_gaussian(mu1, var1, mu2, var2):
     return 0.5 * np.log(var2 / var1) + (var1 + (mu1 - mu2) ** 2) / (2.0 * var2) - 0.5
 
 
-_ENERGY1 = KernelSpec("energy", beta=1.0)
+_ENERGY1 = KernelSpec("energy")
+
+FDE_METHODS = ("cramer", "energy", "rbf", "laplace", "pdf_l2", "kl")
+
+
+def method_divergence(method: str, sigma_rbf: float = 1.0,
+                      sigma_lap: float = 1.0) -> DivergenceSpec:
+    """The divergence that an FDE method label fits: the one label map."""
+    if method in ("cramer", "pdf_l2", "kl"):
+        return DivergenceSpec(method)
+    if method == "energy":
+        return DivergenceSpec("mmd", kernel=_ENERGY1)
+    if method == "rbf":
+        return DivergenceSpec("mmd", kernel=KernelSpec("rbf", sigma=sigma_rbf))
+    if method == "laplace":
+        return DivergenceSpec("mmd", kernel=KernelSpec("laplace", sigma=sigma_lap))
+    raise InvalidInput(f"unknown FDE method {method!r}")
 
 
 def _mmd_kernel(spec: DivergenceSpec):
@@ -247,8 +256,7 @@ def kernel_gram(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Kernel matrix k(x_i, y_j) for 1-D point sets of shape (n,), (m,)."""
     dist = np.abs(x[:, None] - y[None, :])
     if kernel.kind == "energy":
-        nx, ny = np.abs(x) ** kernel.beta, np.abs(y) ** kernel.beta
-        return nx[:, None] + ny[None, :] - dist**kernel.beta
+        return np.abs(x)[:, None] + np.abs(y)[None, :] - dist
     if kernel.kind == "rbf":
         return np.exp(-(dist**2) / (4.0 * kernel.sigma**2))
     return np.exp(-dist / kernel.sigma)  # laplace

@@ -9,10 +9,6 @@ class InvalidInput(FdevalError):
     """An argument violates a documented precondition."""
 
 
-class Unsupported(FdevalError):
-    """The operation is not defined for this input kind."""
-
-
 class NonConvergence(FdevalError):
     """An iterative solver exhausted its budget.
 

@@ -10,8 +10,7 @@ mean residual, minimized by L-BFGS-B with its analytic gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
@@ -41,13 +40,6 @@ class TSelectionParams:
             raise InvalidInput("invalid T-selection parameters")
         if self.c - 1.0 / (2.0 * self.q) <= 0:
             raise InvalidInput("rule requires c > 1/(2q)")
-
-
-@dataclass(frozen=True)
-class FDEConfig:
-    divergence: DivergenceSpec
-    t_params: TSelectionParams = field(default_factory=TSelectionParams)
-    explicit_t: Optional[int] = None
 
 
 def choose_t(n_total: int, gamma: float, params: TSelectionParams) -> int:
@@ -138,16 +130,13 @@ class FitTrace:
     t_used: int
 
 
-def _run_iterations(data: Dataset, env: LQREnv, config: FDEConfig, spec: DivergenceSpec,
+def _run_iterations(data: Dataset, env: LQREnv, spec: DivergenceSpec, t_count: int,
                     targets=lambda problem: problem):
-    """Split, then fit each fold warm-started from the previous iterate.
+    """Split into ``t_count`` folds, then fit each fold warm-started from the
+    previous iterate.
 
     ``targets`` turns a fold's backup problem into the problem that is fitted.
     """
-    if config.explicit_t is not None:
-        t_count = config.explicit_t
-    else:
-        t_count = choose_t(len(data), env.gamma, config.t_params)
     folds = split_dataset(data, t_count)
     theta_vec = LQRTheta.zero().to_vector()
     objective_values = []
@@ -160,12 +149,13 @@ def _run_iterations(data: Dataset, env: LQREnv, config: FDEConfig, spec: Diverge
     return LQRTheta.from_vector(theta_vec), FitTrace(objective_values, warm_start_values, len(folds))
 
 
-def fde_run(data: Dataset, env: LQREnv, config: FDEConfig):
-    """Full FDE pipeline: split, then iterate warm-started fold fits."""
-    return _run_iterations(data, env, config, config.divergence)
+def fde_run(data: Dataset, env: LQREnv, spec: DivergenceSpec, t_count: int):
+    """Full FDE pipeline: split into ``t_count`` folds, then iterate
+    warm-started fits of the divergence ``spec``."""
+    return _run_iterations(data, env, spec, t_count)
 
 
-def fle_run(data: Dataset, env: LQREnv, config: FDEConfig, rng: np.random.Generator,
+def fle_run(data: Dataset, env: LQREnv, t_count: int, rng: np.random.Generator,
             mc_samples: int = 1):
     """Likelihood baseline: fit to Monte-Carlo draws from the backup law.
 
@@ -187,4 +177,4 @@ def fle_run(data: Dataset, env: LQREnv, config: FDEConfig, rng: np.random.Genera
             problem, features=np.repeat(problem.features, mc_samples, axis=0), target_means=draws
         )
 
-    return _run_iterations(data, env, config, _KL, draw)
+    return _run_iterations(data, env, _KL, t_count, draw)

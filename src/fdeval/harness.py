@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bellman import Policy, bellman_backup, compact_atoms, solve_return_fixed_point
 from .distributions import mixture
-from .divergences import DivergenceSpec, KernelSpec
+from .divergences import FDE_METHODS, method_divergence
 from .envs import (
     LQREnv,
     estimate_dpi_lqr,
@@ -33,9 +33,9 @@ from .envs import (
 )
 from .errors import FdevalError, InvalidInput
 from .evaluation import InaccuracyReport, lqr_inaccuracy, tabular_inaccuracy
-from .fde import FDEConfig, TSelectionParams, choose_t, fde_run, fle_run, split_dataset
+from .fde import TSelectionParams, choose_t, fde_run, fle_run, split_dataset
 
-LQR_METHODS = ("cramer", "energy", "rbf", "laplace", "pdf_l2", "kl", "fle")
+LQR_METHODS = FDE_METHODS + ("fle",)
 
 CSV_HEADER = ["method", "n", "rep", "seed", "T", "inaccuracy", "runtime_ms", "failed"]
 
@@ -135,22 +135,10 @@ class ExperimentConfig:
             )
         if self.tabular_gamma is not None and not 0 < self.tabular_gamma < 1:
             raise InvalidInput(f"tabular_gamma must lie in (0, 1), got {self.tabular_gamma}")
-
-
-def divergence_for_method(method: str, config: ExperimentConfig) -> DivergenceSpec:
-    if method == "cramer":
-        return DivergenceSpec("cramer")
-    if method == "energy":
-        return DivergenceSpec("mmd", kernel=KernelSpec("energy", beta=1.0))
-    if method == "rbf":
-        return DivergenceSpec("mmd", kernel=KernelSpec("rbf", sigma=config.sigma_rbf))
-    if method == "laplace":
-        return DivergenceSpec("mmd", kernel=KernelSpec("laplace", sigma=config.sigma_lap))
-    if method == "pdf_l2":
-        return DivergenceSpec("pdf_l2")
-    if method in ("kl", "fle"):
-        return DivergenceSpec("kl")
-    raise InvalidInput(f"unknown method {method!r}")
+        for name in ("sigma_rbf", "sigma_lap"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:  # NaN included
+                raise InvalidInput(f"{name} must be > 0, got {value}")
 
 
 def _cell_seed(config: ExperimentConfig, rep: int, n: int, *tags) -> np.random.SeedSequence:
@@ -161,30 +149,22 @@ def _data_seed_int(config: ExperimentConfig, rep: int, n: int) -> int:
     return int(_cell_seed(config, rep, n, _TAG_DATA).generate_state(1)[0])
 
 
-def _run_lqr_cell(config: ExperimentConfig, method: str, n: int, rep: int) -> InaccuracyReport:
+def _lqr_cell(config: ExperimentConfig, method: str, n: int, rep: int, t_count: int) -> float:
     env = LQREnv.default()
     data = lqr_collect(env, n, np.random.default_rng(_cell_seed(config, rep, n, _TAG_DATA)))
     dpi_states, dpi_actions = estimate_dpi_lqr(
         env, config.dpi_points, np.random.default_rng(_cell_seed(config, rep, n, _TAG_DPI))
     )
     theta_star = lqr_true_params(env)
-    fde_config = FDEConfig(
-        divergence=divergence_for_method(method, config),
-        t_params=config.t_params,
-    )
-    start = time.perf_counter()
     if method == "fle":
         method_rng = np.random.default_rng(
             _cell_seed(config, rep, n, _TAG_METHOD, LQR_METHODS.index(method))
         )
-        theta, trace = fle_run(data, env, fde_config, method_rng, mc_samples=config.b_samples)
+        theta, _ = fle_run(data, env, t_count, method_rng, mc_samples=config.b_samples)
     else:
-        theta, trace = fde_run(data, env, fde_config)
-    inaccuracy = lqr_inaccuracy(theta, theta_star, dpi_states, dpi_actions, p=1.0)
-    runtime_ms = 1000.0 * (time.perf_counter() - start)
-    return InaccuracyReport(
-        method, n, rep, _data_seed_int(config, rep, n), trace.t_used, inaccuracy, runtime_ms, False
-    )
+        spec = method_divergence(method, config.sigma_rbf, config.sigma_lap)
+        theta, _ = fde_run(data, env, spec, t_count)
+    return lqr_inaccuracy(theta, theta_star, dpi_states, dpi_actions, p=1.0)
 
 
 def _tabular_fde(data, mdp, pi, t_count):
@@ -207,7 +187,7 @@ def _tabular_fde(data, mdp, pi, t_count):
     return table
 
 
-def _run_tabular_cell(config: ExperimentConfig, method: str, n: int, rep: int) -> InaccuracyReport:
+def _tabular_cell(config: ExperimentConfig, method: str, n: int, rep: int, t_count: int) -> float:
     inst_rng = np.random.default_rng(_cell_seed(config, rep, n, _TAG_INSTANCE))
     mdp = tabular_make_random(
         config.tabular_states, config.tabular_actions, 2, inst_rng, gamma=config.tabular_gamma
@@ -215,9 +195,6 @@ def _run_tabular_cell(config: ExperimentConfig, method: str, n: int, rep: int) -
     behavior = Policy.uniform(mdp.n_states, mdp.n_actions)
     pi = Policy.uniform(mdp.n_states, mdp.n_actions)
     data = tabular_collect(mdp, behavior, n, np.random.default_rng(_cell_seed(config, rep, n, _TAG_DATA)))
-    t_count = choose_t(n, mdp.gamma, config.t_params)
-    seed_int = _data_seed_int(config, rep, n)
-    start = time.perf_counter()
     table = _tabular_fde(data, mdp, pi, t_count)
     truth = solve_return_fixed_point(mdp, pi)
     dpi = estimate_dpi_tabular(
@@ -227,26 +204,24 @@ def _run_tabular_cell(config: ExperimentConfig, method: str, n: int, rep: int) -
     weights = {sa: 0.0 for sa in mdp.pairs()}
     for sa in dpi:
         weights[sa] += 1.0 / len(dpi)
-    inaccuracy = tabular_inaccuracy(table, truth, weights, p=1.0, q=1.0)
-    runtime_ms = 1000.0 * (time.perf_counter() - start)
-    return InaccuracyReport(method, n, rep, seed_int, t_count, inaccuracy, runtime_ms, False)
+    return tabular_inaccuracy(table, truth, weights, p=1.0, q=1.0)
 
 
 def _run_cell(args):
-    """One cell's report; any toolkit error becomes a failed NaN row whose
-    runtime covers the whole cell, so one bad cell never aborts the sweep."""
+    """One cell's report.  T is chosen here, once per cell, and runtime_ms is
+    the wall time of the whole cell: collection, d_pi, truth, fit and score.
+    Any toolkit error, a non-finite score included, becomes a failed NaN row,
+    so one bad cell never aborts the sweep."""
     config, method, n, rep = args
     lqr = config.experiment == "lqr"
     start = time.perf_counter()
+    t_count = choose_t(n, LQREnv.default().gamma if lqr else config.tabular_gamma, config.t_params)
+    row = (method, n, rep, _data_seed_int(config, rep, n), t_count)
     try:
-        return (_run_lqr_cell if lqr else _run_tabular_cell)(config, method, n, rep)
+        inaccuracy = (_lqr_cell if lqr else _tabular_cell)(config, method, n, rep, t_count)
+        return InaccuracyReport(*row, inaccuracy, 1000.0 * (time.perf_counter() - start))
     except FdevalError:
-        gamma = LQREnv.default().gamma if lqr else config.tabular_gamma
-        runtime_ms = 1000.0 * (time.perf_counter() - start)
-        return InaccuracyReport(
-            method, n, rep, _data_seed_int(config, rep, n),
-            choose_t(n, gamma, config.t_params), math.nan, runtime_ms, True,
-        )
+        return InaccuracyReport(*row, math.nan, 1000.0 * (time.perf_counter() - start), True)
 
 
 def run_experiment(config: ExperimentConfig) -> list:

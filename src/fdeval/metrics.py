@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import Atomic, mixture, push_forward
-from .divergences import KernelSpec, mmd_squared_atomic
+from .divergences import _ENERGY1, KernelSpec, mmd_squared_atomic
 from .errors import InvalidInput
 
 
@@ -24,7 +24,7 @@ class MetricSpec:
 
     kind: "wasserstein" (p >= 1), "mmd" (with kernel), or "cramer".
     The (c, q) pair is derived from the kind, as the survey constants:
-    Wasserstein-p has c = 1, q = p; energy MMD has c = beta/2, q = 1 (no c
+    Wasserstein-p has c = 1, q = p; energy MMD has c = 1/2, q = 1 (no c
     for other kernels); Cramer has c = 1/2, q = 2.
     """
 
@@ -44,7 +44,7 @@ class MetricSpec:
         if self.kind == "wasserstein":
             c, q = 1.0, self.p
         elif self.kind == "mmd":
-            c, q = (self.kernel.beta / 2.0 if self.kernel.kind == "energy" else None), 1.0
+            c, q = (0.5 if self.kernel.kind == "energy" else None), 1.0
         else:
             c, q = 0.5, 2.0
         object.__setattr__(self, "c", c)
@@ -55,7 +55,7 @@ class MetricSpec:
             return wasserstein_1d(self.p, p_dist, q_dist)
         if self.kind == "mmd":
             return float(np.sqrt(max(mmd_squared_atomic(self.kernel, p_dist, q_dist), 0.0)))
-        val = mmd_squared_atomic(KernelSpec("energy", beta=1.0), p_dist, q_dist)
+        val = mmd_squared_atomic(_ENERGY1, p_dist, q_dist)
         return float(np.sqrt(max(0.5 * val, 0.0)))
 
 

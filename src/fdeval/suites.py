@@ -8,17 +8,19 @@ means no counterexample was found at the given seed, not a proof.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .bellman import Policy, TabularMDP, apply_bellman, sup_w1, zero_table
 from .distributions import Atomic, GaussianMixture1D
 from .divergences import (
-    DivergenceSpec,
-    KernelSpec,
+    _ENERGY1,
+    FDE_METHODS,
     closed_form_gaussian,
     divergence_gmm,
     kl_gaussian,
+    method_divergence,
     mmd2_gaussian,
     mmd_squared_atomic,
 )
@@ -33,8 +35,6 @@ from .metrics import (
     slc_property_check,
     wasserstein_1d,
 )
-
-_ENERGY1 = KernelSpec("energy", beta=1.0)
 
 
 def _random_table(mdp: TabularMDP, rng: np.random.Generator, max_atoms: int = 4) -> dict:
@@ -138,14 +138,8 @@ def minimizer_suite(seed: int, mc_samples: int = 4000) -> dict:
         m = rng.normal(0.0, 1.0, size=3)
         guess[sa] = GaussianMixture1D(tuple((float(wi), float(mi), base_var) for wi, mi in zip(w, m)))
 
-    specs = {
-        "cramer": DivergenceSpec("cramer"),
-        "energy": DivergenceSpec("mmd", kernel=_ENERGY1),
-        "rbf": DivergenceSpec("mmd", kernel=KernelSpec("rbf", sigma=1.0)),
-        "laplace": DivergenceSpec("mmd", kernel=KernelSpec("laplace", sigma=1.0)),
-        "pdf_l2": DivergenceSpec("pdf_l2"),
-        "kl": DivergenceSpec("kl", mc_samples=mc_samples),
-    }
+    specs = {method: method_divergence(method) for method in FDE_METHODS}
+    specs["kl"] = replace(specs["kl"], mc_samples=mc_samples)
 
     violations = []
     trials = 0
@@ -215,10 +209,11 @@ def slc_suite(seed: int, trials: int = 200) -> dict:
             "control_detected": control_ok, "passed": passed}
 
 
-def _mc_divergence(kind, kernel, mu1, v1, mu2, v2, n, rng):
+def _mc_divergence(spec, mu1, v1, mu2, v2, n, rng):
     """Paired-draw Monte-Carlo estimate (value, standard error)."""
     sd1, sd2 = math.sqrt(v1), math.sqrt(v2)
-    if kind in ("mmd", "cramer"):
+    if spec.kind in ("mmd", "cramer"):
+        kernel = _ENERGY1 if spec.kind == "cramer" else spec.kernel
         if kernel.kind == "energy":
             h = lambda d: -np.abs(d)
         elif kernel.kind == "rbf":
@@ -230,9 +225,9 @@ def _mc_divergence(kind, kernel, mu1, v1, mu2, v2, n, rng):
         y1 = rng.normal(mu2, sd2, size=n)
         y2 = rng.normal(mu2, sd2, size=n)
         stat = h(x1 - x2) + h(y1 - y2) - h(x1 - y1) - h(x2 - y2)
-        if kind == "cramer":
+        if spec.kind == "cramer":
             stat = 0.5 * stat
-    elif kind == "pdf_l2":
+    elif spec.kind == "pdf_l2":
         x = rng.normal(mu1, sd1, size=n)
         y = rng.normal(mu2, sd2, size=n)
 
@@ -240,7 +235,7 @@ def _mc_divergence(kind, kernel, mu1, v1, mu2, v2, n, rng):
             return np.exp(-((z - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
         stat = pdf(x, mu1, v1) - pdf(x, mu2, v2) - pdf(y, mu1, v1) + pdf(y, mu2, v2)
-    elif kind == "kl":
+    elif spec.kind == "kl":
         # convention: divergence(model P, target Q) = KL(Q || P)
         y = rng.normal(mu2, sd2, size=n)
         stat = (
@@ -248,7 +243,7 @@ def _mc_divergence(kind, kernel, mu1, v1, mu2, v2, n, rng):
             + ((y - mu1) ** 2) / (2.0 * v1) + 0.5 * math.log(v1)
         )
     else:
-        raise InvalidInput(f"no MC oracle for kind {kind!r}")
+        raise InvalidInput(f"no MC oracle for kind {spec.kind!r}")
     return float(np.mean(stat)), float(np.std(stat, ddof=1) / math.sqrt(n))
 
 
@@ -259,24 +254,16 @@ def closed_forms_suite(seed: int, pairs: int = 100, mc_n: int = 1_000_000) -> di
     anchor values are checked with tight tolerances.
     """
     rng = np.random.default_rng(seed)
-    # the cramer case carries the energy kernel for its MC oracle only
-    cases = {
-        "cramer": DivergenceSpec("cramer", kernel=_ENERGY1),
-        "energy": DivergenceSpec("mmd", kernel=_ENERGY1),
-        "rbf": DivergenceSpec("mmd", kernel=KernelSpec("rbf", sigma=1.0)),
-        "laplace": DivergenceSpec("mmd", kernel=KernelSpec("laplace", sigma=1.0)),
-        "pdf_l2": DivergenceSpec("pdf_l2"),
-        "kl": DivergenceSpec("kl"),
-    }
     violations = []
     trials = 0
-    for name, spec in cases.items():
+    for name in FDE_METHODS:
+        spec = method_divergence(name)
         for _ in range(pairs):
             trials += 1
             mu1, mu2 = rng.uniform(-2.0, 2.0, size=2)
             v1, v2 = rng.uniform(0.3, 3.0, size=2)
             closed = float(closed_form_gaussian(spec, mu1, v1, mu2, v2))
-            mc, se = _mc_divergence(spec.kind, spec.kernel, mu1, v1, mu2, v2, mc_n, rng)
+            mc, se = _mc_divergence(spec, mu1, v1, mu2, v2, mc_n, rng)
             if abs(closed - mc) > 3.0 * se:
                 violations.append(
                     {"divergence": name, "mu": (mu1, mu2), "var": (v1, v2),

@@ -2,25 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from fdeval.distributions import Atomic, GaussianMixture1D
 from fdeval.divergences import (
+    FDE_METHODS,
     DivergenceSpec,
     KernelSpec,
     closed_form_gaussian,
+    closed_form_gaussian_dmu1,
     divergence_gmm,
     gaussian_k0,
     gaussian_k0_dmu,
     kl_gaussian,
     mmd2_gaussian,
+    method_divergence,
     mmd_squared_atomic,
     pdf_l2_gaussian,
 )
-from fdeval.errors import InvalidInput, Unsupported
+from fdeval.envs import LQREnv
+from fdeval.errors import InvalidInput
 from fdeval.metrics import MetricSpec
 
-ENERGY = KernelSpec("energy", beta=1.0)
+ENERGY = KernelSpec("energy")
 RBF = KernelSpec("rbf", sigma=1.0)
 LAPLACE = KernelSpec("laplace", sigma=1.0)
 
@@ -62,12 +68,22 @@ def test_k0_gradient_matches_finite_difference(kernel):
         assert gaussian_k0_dmu(kernel, mu, var) == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
 
-def test_energy_k0_and_its_gradient_reject_beta_other_than_one():
-    kernel = KernelSpec("energy", beta=1.5)
-    with pytest.raises(Unsupported):
-        gaussian_k0(kernel, 1.0, 1.0)
-    with pytest.raises(Unsupported):
-        gaussian_k0_dmu(kernel, 1.0, 1.0)
+@settings(max_examples=200, deadline=None)
+@given(method=st.sampled_from(FDE_METHODS), delta=st.floats(-60.0, 60.0))
+def test_closed_form_dmu1_matches_central_difference(method, delta):
+    """rho'(delta) of every FDE method against a central difference of its
+    closed form in the model mean, at the two variances of the LQR fit."""
+    env = LQREnv.default()
+    v1, v2 = env.return_variance, env.gamma**2 * env.return_variance
+    spec = method_divergence(method)
+    h = 1e-3
+    fd = (
+        closed_form_gaussian(spec, delta + h, v1, 0.0, v2)
+        - closed_form_gaussian(spec, delta - h, v1, 0.0, v2)
+    ) / (2 * h)
+    assert closed_form_gaussian_dmu1(spec, delta, v1, 0.0, v2) == pytest.approx(
+        fd, rel=1e-6, abs=1e-10
+    )
 
 
 def test_laplace_k0_stable_at_large_variance():
@@ -165,8 +181,6 @@ def test_cramer_atomic_identity_with_energy():
 
 
 def test_kernel_spec_validation():
-    with pytest.raises(InvalidInput):
-        KernelSpec("energy", beta=2.0)
     with pytest.raises(InvalidInput):
         KernelSpec("rbf", sigma=0.0)
     with pytest.raises(InvalidInput):

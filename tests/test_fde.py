@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fdeval.divergences import DivergenceSpec, KernelSpec, closed_form_gaussian
+from fdeval.divergences import FDE_METHODS, DivergenceSpec, closed_form_gaussian, method_divergence
 from fdeval.envs import (
     Dataset,
     LQREnv,
@@ -15,7 +15,6 @@ from fdeval.envs import (
 )
 from fdeval.errors import InvalidInput, OptimizationFailure
 from fdeval.fde import (
-    FDEConfig,
     TSelectionParams,
     _FoldProblem,
     _minimize_fold,
@@ -25,16 +24,6 @@ from fdeval.fde import (
     fle_run,
     split_dataset,
 )
-
-CLOSED_FORM_SPECS = {
-    "cramer": DivergenceSpec("cramer"),
-    "energy": DivergenceSpec("mmd", kernel=KernelSpec("energy", beta=1.0)),
-    "rbf": DivergenceSpec("mmd", kernel=KernelSpec("rbf", sigma=1.0)),
-    "laplace": DivergenceSpec("mmd", kernel=KernelSpec("laplace", sigma=1.0)),
-    "pdf_l2": DivergenceSpec("pdf_l2"),
-    "kl": DivergenceSpec("kl"),
-}
-
 
 def test_choose_t_anchor_values():
     p = TSelectionParams()
@@ -132,7 +121,7 @@ def test_objective_permutation_invariance():
     )
     theta = LQRTheta.from_vector(rng.normal(size=12))
     prev = LQRTheta.from_vector(rng.normal(size=12))
-    for spec in CLOSED_FORM_SPECS.values():
+    for spec in map(method_divergence, FDE_METHODS):
         a = _objective(data, theta, prev, env, spec)
         b = _objective(shuffled, theta, prev, env, spec)
         assert a == pytest.approx(b, abs=1e-12)
@@ -146,7 +135,7 @@ def test_objective_rejects_nonfinite_theta():
         LQRTheta.from_vector(np.where(np.arange(12) == 0, np.nan, bad))
 
 
-@pytest.mark.parametrize("name", sorted(CLOSED_FORM_SPECS) + ["fle"])
+@pytest.mark.parametrize("name", sorted(FDE_METHODS) + ["fle"])
 def test_analytic_gradient_matches_finite_difference(name):
     """The analytic gradient against central differences of an independent
     objective: the closed form itself, or for FLE the Gaussian negative
@@ -167,7 +156,7 @@ def test_analytic_gradient_matches_finite_difference(name):
             resid = feats @ vec - draws
             return 0.5 * np.log(2 * np.pi * v) + np.mean(resid**2) / (2 * v)
     else:
-        spec = CLOSED_FORM_SPECS[name]
+        spec = method_divergence(name)
 
         def objective(vec):
             return np.mean(closed_form_gaussian(
@@ -188,11 +177,10 @@ def test_analytic_gradient_matches_finite_difference(name):
 def test_run_descent_contract_and_trace(method):
     env = LQREnv.default()
     data = _dummy_dataset(200, seed=7)
-    config = FDEConfig(divergence=DivergenceSpec("kl"), explicit_t=4)
     if method == "fle":
-        theta, trace = fle_run(data, env, config, np.random.default_rng(8), mc_samples=2)
+        theta, trace = fle_run(data, env, 4, np.random.default_rng(8), mc_samples=2)
     else:
-        theta, trace = fde_run(data, env, config)
+        theta, trace = fde_run(data, env, DivergenceSpec("kl"), 4)
     assert trace.t_used == 4
     assert len(trace.objective_values) == 4
     for end, start in zip(trace.objective_values, trace.warm_start_values):
@@ -207,8 +195,7 @@ def test_degenerate_fold_leaves_state_block_at_warm_start():
         np.zeros((20, 2)), acts,
         rng.normal(size=20), np.zeros((20, 2)),
     )
-    config = FDEConfig(divergence=DivergenceSpec("kl"), explicit_t=1)
-    theta, _ = fde_run(data, env, config)
+    theta, _ = fde_run(data, env, DivergenceSpec("kl"), 1)
     # all states are zero, so M1 and M2 receive exactly zero gradient
     np.testing.assert_array_equal(theta.m1, np.zeros((2, 2)))
     np.testing.assert_array_equal(theta.m2, np.zeros((2, 2)))
@@ -221,8 +208,7 @@ def test_single_iteration_recovers_bellman_image():
     env = LQREnv.default()
     data = _dummy_dataset(10_000, seed=9)
     target = parameter_bellman_map(env, LQRTheta.zero())
-    config = FDEConfig(divergence=DivergenceSpec("kl"), explicit_t=1)
-    theta, _ = fde_run(data, env, config)
+    theta, _ = fde_run(data, env, DivergenceSpec("kl"), 1)
     probe = lqr_collect(env, 4000, np.random.default_rng(10))
     gap = np.abs(
         theta.mean_batch(probe.states, probe.actions)
@@ -231,16 +217,15 @@ def test_single_iteration_recovers_bellman_image():
     assert gap <= 0.05
 
 
-@pytest.mark.parametrize("name", sorted(CLOSED_FORM_SPECS))
+@pytest.mark.parametrize("name", sorted(FDE_METHODS))
 def test_population_minimizer_consistency(name):
     """With theta_prev at the fixed point the objective's minimizer is the
     fixed point itself; a large fold must land nearby."""
     env = LQREnv.default()
     theta_star = lqr_true_params(env)
     data = _dummy_dataset(100_000, seed=11)
-    config = FDEConfig(divergence=CLOSED_FORM_SPECS[name], explicit_t=1)
     problem = _FoldProblem.from_fold(data, env, theta_star)
-    vec, _, _ = _minimize_fold(problem, config.divergence, theta_star.to_vector(), 1)
+    vec, _, _ = _minimize_fold(problem, method_divergence(name), theta_star.to_vector(), 1)
     fitted = LQRTheta.from_vector(vec)
     probe = lqr_collect(env, 4000, np.random.default_rng(12))
     gap = np.abs(
@@ -253,8 +238,7 @@ def test_population_minimizer_consistency(name):
 def test_fle_large_b_matches_backup_mean():
     env = LQREnv.default()
     fold = _dummy_dataset(1, seed=13)
-    config = FDEConfig(divergence=DivergenceSpec("kl"), explicit_t=1)
-    theta, _ = fle_run(fold, env, config, np.random.default_rng(14), mc_samples=1_000_000)
+    theta, _ = fle_run(fold, env, 1, np.random.default_rng(14), mc_samples=1_000_000)
     target = float(fold.rewards[0])  # theta_prev = 0, so backup mean = r
     fitted = theta.mean(fold.states[0], fold.actions[0])
     se = env.gamma * np.sqrt(env.return_variance) / 1000.0
@@ -267,8 +251,7 @@ def test_fle_matches_least_squares_on_drawn_targets(seed):
     FLE's fitted means are the least-squares projection of its draws."""
     env = LQREnv.default()
     data = _dummy_dataset(200, seed=seed)
-    config = FDEConfig(divergence=DivergenceSpec("kl"), explicit_t=1)
-    theta, _ = fle_run(data, env, config, np.random.default_rng(seed), mc_samples=1)
+    theta, _ = fle_run(data, env, 1, np.random.default_rng(seed), mc_samples=1)
     draws = np.random.default_rng(seed).normal(
         data.rewards, env.gamma * np.sqrt(env.return_variance)
     )
@@ -280,9 +263,8 @@ def test_fle_matches_least_squares_on_drawn_targets(seed):
 
 def test_fle_rejects_bad_b():
     env = LQREnv.default()
-    config = FDEConfig(divergence=DivergenceSpec("kl"), explicit_t=1)
     with pytest.raises(InvalidInput):
-        fle_run(_dummy_dataset(5), env, config, np.random.default_rng(0), mc_samples=0)
+        fle_run(_dummy_dataset(5), env, 1, np.random.default_rng(0), mc_samples=0)
 
 
 def test_optimization_failure_on_nonfinite_data():
@@ -292,6 +274,5 @@ def test_optimization_failure_on_nonfinite_data():
         data.states, data.actions,
         np.where(np.arange(10) == 0, np.inf, data.rewards), data.next_states,
     )
-    config = FDEConfig(divergence=DivergenceSpec("kl"), explicit_t=1)
     with np.errstate(invalid="ignore"), pytest.raises(OptimizationFailure):
-        fde_run(broken, env, config)
+        fde_run(broken, env, DivergenceSpec("kl"), 1)

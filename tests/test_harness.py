@@ -4,11 +4,13 @@ import csv
 import dataclasses
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fdeval import harness
 from fdeval.cli import main
 from fdeval.errors import InvalidInput
 from fdeval.fde import TSelectionParams
@@ -19,7 +21,6 @@ from fdeval.harness import (
     load_config_file,
     run_experiment,
     write_reports,
-    _run_lqr_cell,
 )
 
 SMALL = dict(methods=("kl",), n_list=(60,), reps=2)
@@ -48,6 +49,14 @@ def test_config_validation():
     ):
         with pytest.raises(InvalidInput):
             ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan")])
+@pytest.mark.parametrize("key", ["sigma_rbf", "sigma_lap"])
+def test_kernel_bandwidths_must_be_positive(key, value):
+    # such a bandwidth used to pass and turn every rbf or laplace cell into a NaN row
+    with pytest.raises(InvalidInput, match=key):
+        ExperimentConfig(**{key: value})
 
 
 @pytest.mark.parametrize(
@@ -206,6 +215,7 @@ def test_readme_config_examples_load(tmp_path):
         cfg = tmp_path / f"readme{i}.ini"
         cfg.write_text(block)
         build_config(str(cfg))
+    assert re.search(r"columns\s+`([^`]*)`", readme).group(1) == ",".join(CSV_HEADER)
 
 
 # base sweeps small enough to rerun once per field; each sets a setting that
@@ -263,6 +273,17 @@ def test_cli_rejects_b_zero_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_rejects_zero_bandwidth_before_running(tmp_path, capsys):
+    cfg = tmp_path / "sigma0.ini"
+    cfg.write_text("[divergence]\nsigma_rbf = 0\n")
+    out = tmp_path / "sigma0.csv"
+    code = main(["run-lqr", "--config", str(cfg), "--methods", "rbf", "--n", "60",
+                 "--reps", "1", "--out", str(out)])
+    assert code == 1
+    assert "sigma_rbf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_zero_dpi_points_before_running(tmp_path, capsys):
     # dpi_points = 0 used to turn every cell into a NaN row and exit 0
     cfg = tmp_path / "dpi0.ini"
@@ -313,7 +334,6 @@ def test_cli_rejects_tabular_section_on_lqr(tmp_path, capsys):
 
 
 def test_failure_becomes_nan_row(monkeypatch, tmp_path):
-    from fdeval import harness
     from fdeval.errors import OptimizationFailure
 
     def boom(*args, **kwargs):
@@ -329,16 +349,21 @@ def test_failure_becomes_nan_row(monkeypatch, tmp_path):
     assert rows[1][5] == "nan" and rows[1][7] == "1"
 
 
+def test_nonfinite_score_becomes_failed_row(monkeypatch):
+    monkeypatch.setattr(harness, "lqr_inaccuracy", lambda *args, **kwargs: float("nan"))
+    reports = run_experiment(ExperimentConfig(**SMALL))
+    assert all(r.failed and np.isnan(r.inaccuracy) and r.runtime_ms > 0 for r in reports)
+
+
 def test_any_toolkit_error_fails_only_its_cell(monkeypatch):
-    from fdeval import harness
     from fdeval.errors import NonConvergence
 
     real_fde_run = harness.fde_run
 
-    def flaky(data, env, config):
-        if config.divergence.kind == "pdf_l2":
+    def flaky(data, env, spec, t_count):
+        if spec.kind == "pdf_l2":
             raise NonConvergence("forced")
-        return real_fde_run(data, env, config)
+        return real_fde_run(data, env, spec, t_count)
 
     monkeypatch.setattr(harness, "fde_run", flaky)
     config = ExperimentConfig(methods=("pdf_l2", "kl"), n_list=(60,), reps=1)
@@ -398,7 +423,21 @@ def test_cli_truth_lqr(capsys):
     assert payload["return_variance"] == pytest.approx(50.2513, abs=1e-3)
 
 
-def test_runtime_ms_recorded():
-    report = _run_lqr_cell(ExperimentConfig(**SMALL), "kl", 60, 0)
-    assert report.runtime_ms > 0
-    assert report.t_used >= 1
+def test_runtime_ms_covers_the_whole_cell(monkeypatch):
+    """Data collection is the first stage of a cell, so a 50 ms stall there
+    shows in every row, ok or failed, on both experiments."""
+    for name in ("lqr_collect", "tabular_collect"):
+        def slow(*args, _collect=getattr(harness, name), **kwargs):
+            time.sleep(0.05)
+            return _collect(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, slow)
+    # at n = 3 the rule asks for T = 5 folds, so that row fails after collection
+    lqr = run_experiment(ExperimentConfig(methods=("kl",), n_list=(3, 60), reps=1))
+    tabular = run_experiment(ExperimentConfig(
+        experiment="tabular", methods=("kl",), n_list=(60,), reps=1, dpi_points=100,
+        tabular_states=2, tabular_actions=1,
+    ))
+    assert [r.failed for r in lqr + tabular] == [True, False, False]
+    for r in lqr + tabular:
+        assert r.runtime_ms >= 50 and r.t_used >= 1
