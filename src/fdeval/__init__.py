@@ -13,7 +13,7 @@ from .divergences import DivergenceSpec, KernelSpec
 from .envs import Dataset, LQREnv, LQRTheta, lqr_collect, lqr_true_params
 from .errors import FdevalError, InvalidInput, NonConvergence, OptimizationFailure
 from .evaluation import InaccuracyReport, lqr_inaccuracy, tabular_inaccuracy
-from .fde import TSelectionParams, choose_t, fde_run, fle_run, split_dataset
+from .fde import choose_t, fde_run, fle_run, split_dataset
 from .harness import ExperimentConfig, run_experiment, write_reports
 from .metrics import ExtensionSpec, MetricSpec, contraction_factor, metric_extension, wasserstein_1d
 from .suites import run_property_suite

@@ -1,6 +1,6 @@
 """Bregman-type divergences between return distributions.
 
-Closed forms for Gaussian and Gaussian-mixture pairs, plus the exact kernel
+Closed forms for Gaussian and Gaussian-mixture pairs, plus the exact energy
 MMD between atomic measures.  The argument convention follows the objective:
 ``divergence(spec, model, target)`` where the KL kind evaluates
 KL(target || model).
@@ -252,19 +252,14 @@ def _gmm_logpdf(z, w, m, v):
     return special.logsumexp(log_comp, axis=1)
 
 
-def kernel_gram(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kernel matrix k(x_i, y_j) for 1-D point sets of shape (n,), (m,)."""
-    dist = np.abs(x[:, None] - y[None, :])
-    if kernel.kind == "energy":
-        return np.abs(x)[:, None] + np.abs(y)[None, :] - dist
-    if kernel.kind == "rbf":
-        return np.exp(-(dist**2) / (4.0 * kernel.sigma**2))
-    return np.exp(-dist / kernel.sigma)  # laplace
+def _energy_gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Energy kernel matrix |x_i| + |y_j| - |x_i - y_j| for 1-D point sets."""
+    return np.abs(x)[:, None] + np.abs(y)[None, :] - np.abs(x[:, None] - y[None, :])
 
 
-def mmd_squared_atomic(kernel: KernelSpec, p: Atomic, q: Atomic) -> float:
-    """Exact population squared MMD between two finite atomic measures."""
-    kpp = p.masses @ kernel_gram(kernel, p.locations, p.locations) @ p.masses
-    kqq = q.masses @ kernel_gram(kernel, q.locations, q.locations) @ q.masses
-    kpq = p.masses @ kernel_gram(kernel, p.locations, q.locations) @ q.masses
+def energy_mmd2_atomic(p: Atomic, q: Atomic) -> float:
+    """Exact population squared energy MMD between two finite atomic measures."""
+    kpp = p.masses @ _energy_gram(p.locations, p.locations) @ p.masses
+    kqq = q.masses @ _energy_gram(q.locations, q.locations) @ q.masses
+    kpq = p.masses @ _energy_gram(p.locations, q.locations) @ q.masses
     return float(kpp + kqq - 2.0 * kpq)

@@ -218,11 +218,6 @@ def _parameter_map_linear_part(env: LQREnv) -> np.ndarray:
     )
 
 
-def parameter_map_spectral_radius(env: LQREnv) -> float:
-    """Spectral radius of the linear part of the parameter Bellman map."""
-    return float(np.max(np.abs(np.linalg.eigvals(_parameter_map_linear_part(env)))))
-
-
 def lqr_true_params(env: LQREnv) -> LQRTheta:
     """Fixed point of the parameter Bellman map: one solve of (I - L) theta = T(0)."""
     lin = _parameter_map_linear_part(env)

@@ -1,8 +1,8 @@
-"""Ground-truth comparison via occupancy-weighted Wasserstein inaccuracy.
+"""Ground-truth comparison via occupancy-weighted Wasserstein-1 inaccuracy.
 
 For the LQR model family both the estimate and the truth are Gaussians with
-the same variance at every (x, a), so the per-pair Wasserstein-p distance
-reduces to the absolute mean gap and the expectation extension is exact.
+the same variance at every (x, a), so the per-pair W1 distance reduces to
+the absolute mean gap and the expectation extension is exact.
 """
 
 from __future__ import annotations
@@ -39,29 +39,23 @@ def lqr_inaccuracy(
     theta_star: LQRTheta,
     dpi_states: np.ndarray,
     dpi_actions: np.ndarray,
-    p: float = 1.0,
 ) -> float:
-    """Expectation-extended W_p between the model table and the truth.
+    """Expectation-extended W1 between the model table and the truth.
 
     Per occupancy point the distributions are equal-variance Gaussians, so
-    W_p is the location shift |mu_theta - mu_star|; the extension with
-    order q = p and uniform weights is then a plain 2p-power mean.
+    W1 is the location shift |mu_theta - mu_star|; the order-1 extension
+    with uniform weights is then a root mean square.
     """
-    if p < 1:
-        raise InvalidInput("wasserstein order must be >= 1")
     if len(dpi_states) == 0:
         raise InvalidInput("occupancy sample must be nonempty")
     gaps = np.abs(
         theta.mean_batch(dpi_states, dpi_actions)
         - theta_star.mean_batch(dpi_states, dpi_actions)
     )
-    return float(np.mean(gaps ** (2.0 * p)) ** (1.0 / (2.0 * p)))
+    return float(np.mean(gaps ** 2.0) ** 0.5)
 
 
-def tabular_inaccuracy(
-    u_hat: dict, u_true: dict, dpi_weights: dict, p: float = 1.0, q: float = 1.0
-) -> float:
-    """Occupancy-weighted expectation extension of W_p between return tables."""
-    metric = MetricSpec("wasserstein", p=p)
-    ext = ExtensionSpec("expectation", q=q, weights=dpi_weights)
-    return metric_extension(metric, ext, u_hat, u_true)
+def tabular_inaccuracy(u_hat: dict, u_true: dict, dpi_weights: dict) -> float:
+    """Occupancy-weighted order-1 expectation extension of W1 between return tables."""
+    ext = ExtensionSpec("expectation", weights=dpi_weights)
+    return metric_extension(MetricSpec("wasserstein"), ext, u_hat, u_true)

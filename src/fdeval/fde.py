@@ -22,40 +22,22 @@ from .errors import InvalidInput, OptimizationFailure
 _KL = DivergenceSpec("kl")
 
 
-@dataclass(frozen=True)
-class TSelectionParams:
-    """Constants of the iteration-count rule; defaults match the benchmark."""
+def choose_t(n_total: int, gamma: float, c_divide: float = 5.0) -> int:
+    """Iteration count from the log-sample-size rule, clamped below at 1.
 
-    l: float = 5.0
-    delta: float = 1.0
-    c: float = 1.0
-    q: float = 1.0
-    alpha: float = 0.0
-    c_divide: float = 5.0
-
-    def __post_init__(self):
-        if self.l < 2 or self.delta <= 0 or self.c <= 0 or self.q < 1:
-            raise InvalidInput("invalid T-selection parameters")
-        if self.alpha < 0 or self.c_divide <= 0:
-            raise InvalidInput("invalid T-selection parameters")
-        if self.c - 1.0 / (2.0 * self.q) <= 0:
-            raise InvalidInput("rule requires c > 1/(2q)")
-
-
-def choose_t(n_total: int, gamma: float, params: TSelectionParams) -> int:
-    """Iteration count from the log-sample-size rule, clamped below at 1."""
+    The paper's rule is T = floor((1/c_divide) * (1/(c - 1/(2q)))
+    * (min(delta, 1/q) / (2(l - 1) + alpha)) * log(n) / log(1/gamma)).
+    Its constant factor is exactly 1/4 at l = 5, delta = c = q = 1 and
+    alpha = 0, so ``c_divide`` is the one constant left to set.
+    """
     if n_total < 1:
         raise InvalidInput("n_total must be >= 1")
     if not 0 < gamma < 1:
         raise InvalidInput(f"gamma must lie in (0, 1), got {gamma}")
+    if not c_divide > 0:  # NaN included
+        raise InvalidInput(f"c_divide must be > 0, got {c_divide}")
     log_term = math.log(n_total) / math.log(1.0 / gamma)
-    value = (
-        (1.0 / params.c_divide)
-        * (1.0 / (params.c - 1.0 / (2.0 * params.q)))
-        * (min(params.delta, 1.0 / params.q) / (2.0 * (params.l - 1.0) + params.alpha))
-        * log_term
-    )
-    return max(int(math.floor(value)), 1)
+    return max(int(math.floor(0.25 / c_divide * log_term)), 1)
 
 
 def split_dataset(data: Dataset, t: int) -> list:

@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -33,7 +33,7 @@ from .envs import (
 )
 from .errors import FdevalError, InvalidInput
 from .evaluation import InaccuracyReport, lqr_inaccuracy, tabular_inaccuracy
-from .fde import TSelectionParams, choose_t, fde_run, fle_run, split_dataset
+from .fde import choose_t, fde_run, fle_run, split_dataset
 
 LQR_METHODS = FDE_METHODS + ("fle",)
 
@@ -75,6 +75,7 @@ SETTINGS = {
     "methods": Setting("experiment", "methods", _listed(str), "comma-separated method names"),
     "workers": Setting("experiment", "workers", int, "parallel worker cap"),
     "dpi_points": Setting("experiment", "dpi_points", int),
+    "c_divide": Setting("t_selection", "c_divide", float),
     "sigma_rbf": Setting("divergence", "sigma_rbf", float, reader="lqr", default=1.0),
     "sigma_lap": Setting("divergence", "sigma_lap", float, reader="lqr", default=1.0),
     "b_samples": Setting("divergence", "b", int, reader="lqr", default=1),
@@ -104,7 +105,7 @@ class ExperimentConfig:
     sigma_rbf: Optional[float] = None
     sigma_lap: Optional[float] = None
     b_samples: Optional[int] = None
-    t_params: TSelectionParams = field(default_factory=TSelectionParams)
+    c_divide: float = 5.0
     workers: int = 1
     output_path: str = "results.csv"
     dpi_points: int = 1000
@@ -128,6 +129,10 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(LQR_METHODS)
         if not self.methods or unknown:
             raise InvalidInput(f"unknown methods: {sorted(unknown)}")
+        for name in ("methods", "n_list"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise InvalidInput(f"{name} repeats an entry: {values}")
         counts = (self.b_samples, self.dpi_points, self.tabular_states, self.tabular_actions)
         if min(v for v in counts if v is not None) < 1:
             raise InvalidInput(
@@ -135,7 +140,7 @@ class ExperimentConfig:
             )
         if self.tabular_gamma is not None and not 0 < self.tabular_gamma < 1:
             raise InvalidInput(f"tabular_gamma must lie in (0, 1), got {self.tabular_gamma}")
-        for name in ("sigma_rbf", "sigma_lap"):
+        for name in ("sigma_rbf", "sigma_lap", "c_divide"):
             value = getattr(self, name)
             if value is not None and not value > 0:  # NaN included
                 raise InvalidInput(f"{name} must be > 0, got {value}")
@@ -164,7 +169,7 @@ def _lqr_cell(config: ExperimentConfig, method: str, n: int, rep: int, t_count: 
     else:
         spec = method_divergence(method, config.sigma_rbf, config.sigma_lap)
         theta, _ = fde_run(data, env, spec, t_count)
-    return lqr_inaccuracy(theta, theta_star, dpi_states, dpi_actions, p=1.0)
+    return lqr_inaccuracy(theta, theta_star, dpi_states, dpi_actions)
 
 
 def _tabular_fde(data, mdp, pi, t_count):
@@ -204,7 +209,7 @@ def _tabular_cell(config: ExperimentConfig, method: str, n: int, rep: int, t_cou
     weights = {sa: 0.0 for sa in mdp.pairs()}
     for sa in dpi:
         weights[sa] += 1.0 / len(dpi)
-    return tabular_inaccuracy(table, truth, weights, p=1.0, q=1.0)
+    return tabular_inaccuracy(table, truth, weights)
 
 
 def _run_cell(args):
@@ -215,7 +220,7 @@ def _run_cell(args):
     config, method, n, rep = args
     lqr = config.experiment == "lqr"
     start = time.perf_counter()
-    t_count = choose_t(n, LQREnv.default().gamma if lqr else config.tabular_gamma, config.t_params)
+    t_count = choose_t(n, LQREnv.default().gamma if lqr else config.tabular_gamma, config.c_divide)
     row = (method, n, rep, _data_seed_int(config, rep, n), t_count)
     try:
         inaccuracy = (_lqr_cell if lqr else _tabular_cell)(config, method, n, rep, t_count)
@@ -266,15 +271,14 @@ def write_reports(reports, config: ExperimentConfig, path: Optional[str] = None)
 def load_config_file(path: str) -> dict:
     """Read a key = value config file into override kwargs for ExperimentConfig.
 
-    Its keys are those of SETTINGS, plus the TSelectionParams fields under
-    ``[t_selection]``; a section or key that nothing reads is rejected.
+    Its keys are those of SETTINGS; a section or key that nothing reads is
+    rejected.
     """
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise InvalidInput(f"cannot read config file {path!r}")
     keys = {(s.section, s.key): (name, s.parse) for name, s in SETTINGS.items()}
-    keys.update({("t_selection", f.name): (f.name, float) for f in fields(TSelectionParams)})
-    out, t_params = {}, {}
+    out = {}
     for section in parser.sections():
         if section not in {sec for sec, _ in keys}:
             raise InvalidInput(f"unknown config file section [{section}]")
@@ -282,10 +286,7 @@ def load_config_file(path: str) -> dict:
             if (section, key) not in keys:
                 raise InvalidInput(f"unknown config file key [{section}] {key}")
             name, parse = keys[section, key]
-            value = parse_setting(parse, text, f"[{section}] {key}")
-            (t_params if section == "t_selection" else out)[name] = value
-    if t_params:
-        out["t_params"] = TSelectionParams(**t_params)
+            out[name] = parse_setting(parse, text, f"[{section}] {key}")
     return out
 
 

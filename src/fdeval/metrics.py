@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import Atomic, mixture, push_forward
-from .divergences import _ENERGY1, KernelSpec, mmd_squared_atomic
+from .divergences import energy_mmd2_atomic
 from .errors import InvalidInput
 
 
@@ -22,29 +22,26 @@ from .errors import InvalidInput
 class MetricSpec:
     """Base-metric selector with its scale-sensitivity and convexity constants.
 
-    kind: "wasserstein" (p >= 1), "mmd" (with kernel), or "cramer".
+    kind: "wasserstein" (p >= 1), "energy" (the energy MMD) or "cramer".
     The (c, q) pair is derived from the kind, as the survey constants:
-    Wasserstein-p has c = 1, q = p; energy MMD has c = 1/2, q = 1 (no c
-    for other kernels); Cramer has c = 1/2, q = 2.
+    Wasserstein-p has c = 1, q = p; energy MMD has c = 1/2, q = 1; Cramer
+    has c = 1/2, q = 2.
     """
 
     kind: str
     p: float = 1.0
-    kernel: Optional[KernelSpec] = None
-    c: Optional[float] = field(init=False)
+    c: float = field(init=False)
     q: float = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in ("wasserstein", "mmd", "cramer"):
+        if self.kind not in ("wasserstein", "energy", "cramer"):
             raise InvalidInput(f"unknown metric kind {self.kind!r}")
         if self.kind == "wasserstein" and self.p < 1:
             raise InvalidInput("wasserstein order must be >= 1")
-        if self.kind == "mmd" and self.kernel is None:
-            raise InvalidInput("mmd metric needs a kernel")
         if self.kind == "wasserstein":
             c, q = 1.0, self.p
-        elif self.kind == "mmd":
-            c, q = (0.5 if self.kernel.kind == "energy" else None), 1.0
+        elif self.kind == "energy":
+            c, q = 0.5, 1.0
         else:
             c, q = 0.5, 2.0
         object.__setattr__(self, "c", c)
@@ -53,10 +50,10 @@ class MetricSpec:
     def evaluate(self, p_dist: Atomic, q_dist: Atomic) -> float:
         if self.kind == "wasserstein":
             return wasserstein_1d(self.p, p_dist, q_dist)
-        if self.kind == "mmd":
-            return float(np.sqrt(max(mmd_squared_atomic(self.kernel, p_dist, q_dist), 0.0)))
-        val = mmd_squared_atomic(_ENERGY1, p_dist, q_dist)
-        return float(np.sqrt(max(0.5 * val, 0.0)))
+        val = energy_mmd2_atomic(p_dist, q_dist)
+        if self.kind == "cramer":  # 1-D identity: squared Cramer is half the energy MMD^2
+            val = 0.5 * val
+        return float(np.sqrt(max(val, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -138,8 +135,6 @@ def contraction_factor(metric: MetricSpec, ext: ExtensionSpec, gamma: float) -> 
     """Bellman contraction factor: gamma^c (supremum) or gamma^(c - 1/2q)."""
     if not 0 < gamma < 1:
         raise InvalidInput("gamma must lie in (0, 1)")
-    if metric.c is None:
-        raise InvalidInput("metric has no scale-sensitivity constant")
     if ext.mode == "supremum":
         return gamma**metric.c
     exponent = metric.c - 1.0 / (2.0 * ext.q)

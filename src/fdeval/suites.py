@@ -19,10 +19,10 @@ from .divergences import (
     FDE_METHODS,
     closed_form_gaussian,
     divergence_gmm,
+    energy_mmd2_atomic,
     kl_gaussian,
     method_divergence,
     mmd2_gaussian,
-    mmd_squared_atomic,
 )
 from .envs import tabular_collect, tabular_make_random
 from .errors import InvalidInput
@@ -189,7 +189,7 @@ def slc_suite(seed: int, trials: int = 200) -> dict:
     metrics = {
         "wasserstein_1": MetricSpec("wasserstein", p=1.0),
         "wasserstein_2": MetricSpec("wasserstein", p=2.0),
-        "energy_mmd": MetricSpec("mmd", kernel=_ENERGY1),
+        "energy_mmd": MetricSpec("energy"),
         "cramer": MetricSpec("cramer"),
     }
     violations = []
@@ -297,7 +297,7 @@ def sandwich_suite(seed: int, trials: int = 500, tol: float = 1e-9) -> dict:
         k2 = int(rng.integers(1, 6))
         d1 = Atomic(rng.uniform(lo, hi, size=k1), rng.dirichlet(np.ones(k1)))
         d2 = Atomic(rng.uniform(lo, hi, size=k2), rng.dirichlet(np.ones(k2)))
-        energy = mmd_squared_atomic(_ENERGY1, d1, d2)
+        energy = energy_mmd2_atomic(d1, d2)
         w1 = wasserstein_1d(1.0, d1, d2)
         wp = wasserstein_1d(p, d1, d2)
         lower = 2.0 / (hi - lo) ** (2.0 * p - 1.0) * wp ** (2.0 * p)

@@ -20,7 +20,7 @@ from fdeval.envs import (
     rotation,
     ROTATION_ANGLES,
 )
-from fdeval.fde import TSelectionParams, choose_t, split_dataset
+from fdeval.fde import choose_t, split_dataset
 from fdeval.harness import ExperimentConfig, run_experiment
 from fdeval.suites import (
     closed_forms_suite,
@@ -142,8 +142,7 @@ def test_criterion_6_telescoping():
 
 
 def test_criterion_7_t_selection():
-    params = TSelectionParams()
-    t = choose_t(1000, 0.99, params)
+    t = choose_t(1000, 0.99)
     assert t == 34
     data = lqr_collect(LQREnv.default(), 1000, np.random.default_rng(0))
     sizes = [len(f) for f in split_dataset(data, t)]

@@ -14,12 +14,12 @@ from fdeval.divergences import (
     closed_form_gaussian,
     closed_form_gaussian_dmu1,
     divergence_gmm,
+    energy_mmd2_atomic,
     gaussian_k0,
     gaussian_k0_dmu,
     kl_gaussian,
     mmd2_gaussian,
     method_divergence,
-    mmd_squared_atomic,
     pdf_l2_gaussian,
 )
 from fdeval.envs import LQREnv
@@ -156,7 +156,7 @@ def test_mmd_atomic_hand_computation():
     # k(x,y) = |x| + |y| - |x-y|; MMD^2 = k(0,0) + k(3,3) - 2 k(0,3) = 6
     p = Atomic([0.0], [1.0])
     q = Atomic([3.0], [1.0])
-    assert mmd_squared_atomic(ENERGY, p, q) == pytest.approx(6.0)
+    assert energy_mmd2_atomic(p, q) == pytest.approx(6.0)
 
 
 def _cramer_sq_oracle(p, q):

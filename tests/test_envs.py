@@ -19,13 +19,12 @@ from fdeval.envs import (
     lqr_rollout_return_mean,
     lqr_true_params,
     parameter_bellman_map,
-    parameter_map_spectral_radius,
     quadratic_features,
     rotation,
     tabular_collect,
     tabular_make_random,
 )
-from fdeval.errors import InvalidInput
+from fdeval.errors import InvalidInput, NonConvergence
 
 
 def test_default_env_matches_benchmark():
@@ -112,9 +111,11 @@ def test_parameter_map_gamma_zero():
     np.testing.assert_allclose(out.m3, env.r_mat, atol=1e-10)
 
 
-def test_parameter_map_is_contraction():
-    radius = parameter_map_spectral_radius(LQREnv.default())
-    assert radius < 1.0
+def test_truth_rejects_a_parameter_map_that_does_not_contract():
+    env = LQREnv.default()
+    unstable = LQREnv(1.5 * env.a_mat, env.b_mat, env.q_mat, env.r_mat, env.k_gain)
+    with pytest.raises(NonConvergence, match="not a contraction"):
+        lqr_true_params(unstable)
 
 
 def test_completeness_mapped_mean_is_quadratic():

@@ -61,28 +61,12 @@ def test_permutation_invariance():
     )
 
 
-def test_higher_order_uses_2p_power_mean():
-    env = LQREnv.default()
-    theta_star = lqr_true_params(env)
-    bump = LQRTheta(theta_star.m1 + 0.5 * np.eye(2), theta_star.m2, theta_star.m3)
-    xs = np.array([[1.0, 0.0], [0.5, 0.0]])
-    acts = xs @ env.k_gain.T
-    gaps = np.array([0.5, 0.5 * 0.25])
-    expected = (np.mean(gaps**4)) ** 0.25
-    assert lqr_inaccuracy(bump, theta_star, xs, acts, p=2.0) == pytest.approx(
-        expected, abs=1e-12
-    )
-
-
 def test_lqr_inaccuracy_validation():
     env = LQREnv.default()
     theta = lqr_true_params(env)
     xs = np.zeros((0, 2))
     with pytest.raises(InvalidInput):
         lqr_inaccuracy(theta, theta, xs, xs)
-    pts = np.array([[1.0, 0.0]])
-    with pytest.raises(InvalidInput):
-        lqr_inaccuracy(theta, theta, pts, pts, p=0.5)
 
 
 def test_tabular_inaccuracy_brute_force():

@@ -15,7 +15,6 @@ from fdeval.envs import (
 )
 from fdeval.errors import InvalidInput, OptimizationFailure
 from fdeval.fde import (
-    TSelectionParams,
     _FoldProblem,
     _minimize_fold,
     _objective_and_grad,
@@ -26,25 +25,22 @@ from fdeval.fde import (
 )
 
 def test_choose_t_anchor_values():
-    p = TSelectionParams()
-    assert choose_t(1000, 0.99, p) == 34
-    assert choose_t(2, 0.5, p) == 1  # floored to zero, clamped to one
-    doubled = TSelectionParams(c_divide=10.0)
-    assert choose_t(100_000, 0.99, doubled) in (
-        choose_t(100_000, 0.99, p) // 2,
-        choose_t(100_000, 0.99, p) // 2 + 1,
+    assert choose_t(1000, 0.99) == 34
+    assert choose_t(2, 0.5) == 1  # floored to zero, clamped to one
+    assert choose_t(100_000, 0.99, c_divide=10.0) in (
+        choose_t(100_000, 0.99) // 2,
+        choose_t(100_000, 0.99) // 2 + 1,
     )
 
 
 def test_t_selection_validation():
-    with pytest.raises(InvalidInput):
-        TSelectionParams(c=0.25, q=1.0)  # c <= 1/(2q)
-    with pytest.raises(InvalidInput):
-        TSelectionParams(l=1.0)
+    for c_divide in (0.0, -1.0, float("nan")):
+        with pytest.raises(InvalidInput, match="c_divide"):
+            choose_t(1000, 0.99, c_divide)
     # the rule divides by log(1 / gamma), so gamma must lie in (0, 1)
     for gamma in (0.0, 1.0, 1.5, -0.5):
         with pytest.raises(InvalidInput):
-            choose_t(1000, gamma, TSelectionParams())
+            choose_t(1000, gamma)
 
 
 def _dummy_dataset(n, seed=0):

@@ -13,9 +13,9 @@ import pytest
 from fdeval import harness
 from fdeval.cli import main
 from fdeval.errors import InvalidInput
-from fdeval.fde import TSelectionParams
 from fdeval.harness import (
     CSV_HEADER,
+    SETTINGS,
     ExperimentConfig,
     build_config,
     load_config_file,
@@ -91,7 +91,7 @@ def test_small_sweep_and_csv(tmp_path):
     assert len(rows) == 3
     meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
     assert meta["config"]["master_seed"] == 0
-    assert meta["config"]["t_params"]["c_divide"] == 5.0
+    assert meta["config"]["c_divide"] == 5.0
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path):
@@ -150,7 +150,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert config.master_seed == 7  # None flags fall through to the file
     assert config.sigma_rbf == 2.5
     assert config.b_samples == 4
-    assert config.t_params.c_divide == 10.0
+    assert config.c_divide == 10.0
 
 
 def test_config_file_errors(tmp_path):
@@ -228,7 +228,7 @@ _PERTURB_BASE = {
 }
 _PERTURBED = dict(
     methods=("rbf", "laplace"), n_list=(70,), reps=2, master_seed=1, sigma_rbf=2.0,
-    sigma_lap=2.0, b_samples=3, t_params=TSelectionParams(c_divide=4.0), workers=2,
+    sigma_lap=2.0, b_samples=3, c_divide=4.0, workers=2,
     dpi_points=120, tabular_states=1, tabular_actions=2, tabular_gamma=0.8,
 )
 
@@ -282,6 +282,47 @@ def test_cli_rejects_zero_bandwidth_before_running(tmp_path, capsys):
     assert code == 1
     assert "sigma_rbf" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_cli_rejects_bad_c_divide_before_running(tmp_path, capsys, value):
+    # c_divide = nan used to pass the config and crash the first cell's choose_t
+    cfg = tmp_path / "t.ini"
+    cfg.write_text(f"[t_selection]\nc_divide = {value}\n")
+    out = tmp_path / "t.csv"
+    code = main(["run-lqr", "--config", str(cfg), "--methods", "kl", "--n", "60",
+                 "--reps", "1", "--out", str(out)])
+    assert code == 1
+    assert re.search(r"error: .*c_divide", capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["l", "delta", "c", "q", "alpha"])
+def test_cli_rejects_removed_t_selection_constants(tmp_path, capsys, key):
+    # the rule's other constants act only through one product with c_divide
+    cfg = tmp_path / "t.ini"
+    cfg.write_text(f"[t_selection]\nc_divide = 5\n{key} = 1\n")
+    out = tmp_path / "t.csv"
+    code = main(["run-lqr", "--config", str(cfg), "--methods", "kl", "--n", "60",
+                 "--reps", "1", "--out", str(out)])
+    assert code == 1
+    assert f"error: unknown config file key [t_selection] {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--methods", "kl,kl"], ["--n", "60,60"]])
+def test_cli_rejects_repeated_labels_or_sizes(tmp_path, capsys, flags):
+    # repeats used to run as their own cells and write duplicate CSV rows
+    out = tmp_path / "dup.csv"
+    code = main(["run-lqr", "--methods", "kl", "--n", "60", "--reps", "1", "--out", str(out)]
+                + flags)
+    assert code == 1
+    assert re.search(r"error: .*repeats an entry", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_every_config_field_is_one_setting():
+    assert set(SETTINGS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def test_cli_rejects_zero_dpi_points_before_running(tmp_path, capsys):
@@ -385,7 +426,7 @@ def test_tabular_error_is_a_failed_row_not_an_abort():
     # split_dataset rejects the data before any truth solve
     config = ExperimentConfig(
         experiment="tabular", methods=("kl", "energy"), n_list=(10,), reps=1,
-        t_params=TSelectionParams(c_divide=0.01),
+        c_divide=0.01,
     )
     reports = run_experiment(config)
     assert len(reports) == 2

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from fdeval.distributions import Atomic
-from fdeval.divergences import KernelSpec
 from fdeval.errors import InvalidInput
 from fdeval.metrics import (
     ExtensionSpec,
@@ -38,7 +37,7 @@ def test_w2_atomic_hand_case():
 def test_metric_spec_default_constants():
     w2 = MetricSpec("wasserstein", p=2.0)
     assert (w2.c, w2.q) == (1.0, 2.0)
-    en = MetricSpec("mmd", kernel=KernelSpec("energy"))
+    en = MetricSpec("energy")
     assert (en.c, en.q) == (0.5, 1.0)
     cr = MetricSpec("cramer")
     assert (cr.c, cr.q) == (0.5, 2.0)
@@ -72,7 +71,7 @@ def test_contraction_factor_values():
         0.9**0.75
     )
     # energy MMD has c = 1/2 = 1/(2q) at q = 1: no expectation guarantee
-    en = MetricSpec("mmd", kernel=KernelSpec("energy"))
+    en = MetricSpec("energy")
     with pytest.raises(InvalidInput):
         contraction_factor(en, ExtensionSpec("expectation", q=1.0), 0.9)
 
