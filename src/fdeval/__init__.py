@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .bellman import Policy, TabularMDP, apply_bellman, solve_return_fixed_point
 from .distributions import Atomic, GaussianMixture1D
-from .divergences import DivergenceSpec, KernelSpec
+from .divergences import DivergenceSpec
 from .envs import Dataset, LQREnv, LQRTheta, lqr_collect, lqr_true_params
 from .errors import FdevalError, InvalidInput, NonConvergence, OptimizationFailure
 from .evaluation import InaccuracyReport, lqr_inaccuracy, tabular_inaccuracy

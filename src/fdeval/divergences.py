@@ -21,98 +21,97 @@ from .errors import InvalidInput
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Shift-invariant kernel selector.
+FDE_METHODS = ("cramer", "energy", "rbf", "laplace", "pdf_l2", "kl")
 
-    kind: "energy" (exponent 1), "rbf" (sigma > 0) or "laplace" (sigma > 0).
-    """
-
-    kind: str
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("energy", "rbf", "laplace"):
-            raise InvalidInput(f"unknown kernel kind {self.kind!r}")
-        if self.kind in ("rbf", "laplace") and not self.sigma > 0:
-            raise InvalidInput(f"kernel bandwidth must be positive, got {self.sigma}")
+# The kernel kinds and the weight on their squared MMD; 1-D identity: squared
+# Cramer is half of the squared energy MMD, so cramer uses the energy kernel.
+_MMD_WEIGHT = {"cramer": 0.5, "energy": 1.0, "rbf": 1.0, "laplace": 1.0}
 
 
 @dataclass(frozen=True)
 class DivergenceSpec:
-    """Divergence selector.
+    """Divergence selector: ``kind`` is an FDE method label.
 
-    kind: "cramer", "mmd", "pdf_l2" or "kl".  ``mc_samples`` is the
-    per-component draw count of the Monte-Carlo KL between mixtures.
+    ``sigma`` is the bandwidth of rbf and laplace (default 1, must be > 0);
+    every other kind rejects one.
     """
 
     kind: str
-    kernel: Optional[KernelSpec] = None
-    mc_samples: int = 1000
+    sigma: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("cramer", "mmd", "pdf_l2", "kl"):
+        if self.kind not in FDE_METHODS:
             raise InvalidInput(f"unknown divergence kind {self.kind!r}")
-        if self.kind == "mmd" and self.kernel is None:
-            raise InvalidInput("mmd divergence needs a kernel")
-        if self.kind == "kl" and self.mc_samples < 1:
-            raise InvalidInput("the Monte-Carlo KL needs mc_samples >= 1")
+        if self.kind not in ("rbf", "laplace"):
+            if self.sigma is not None:
+                raise InvalidInput(f"{self.kind} has no bandwidth, got sigma={self.sigma}")
+        elif self.sigma is None:
+            object.__setattr__(self, "sigma", 1.0)
+        elif not self.sigma > 0:  # NaN included
+            raise InvalidInput(f"kernel bandwidth must be positive, got {self.sigma}")
 
 
-def gaussian_k0(kernel: KernelSpec, mu: float, var: float):
-    """E k0(Z) for Z ~ N(mu, var), for the closed-form kernels.
+def _laplace_terms(mu, var, sd, s):
+    """The two terms of E exp(-|Z| / s), assembled in the log domain: the exp
+    prefactor overflows for var >> s^2."""
+    a = var / (2.0 * s**2)
+    t1 = np.exp(a - mu / s + special.log_ndtr(mu / sd - sd / s))
+    t2 = np.exp(a + mu / s + special.log_ndtr(-mu / sd - sd / s))
+    return t1, t2
 
-    Vectorized over mu/var; energy uses k0(y) = -|y|, rbf uses
+
+def gaussian_k0(spec: DivergenceSpec, mu: float, var: float):
+    """E k0(Z) for Z ~ N(mu, var), for the kernel of a kernel kind.
+
+    Vectorized over mu/var; energy (and cramer) use k0(y) = -|y|, rbf uses
     exp(-y^2 / 4 sigma^2), laplace uses exp(-|y| / sigma).
     """
+    if spec.kind not in _MMD_WEIGHT:
+        raise InvalidInput(f"{spec.kind} is not a kernel divergence")
     mu = np.asarray(mu, dtype=float)
     var = np.asarray(var, dtype=float)
     if np.any(var <= 0):
         raise InvalidInput("variance must be positive")
     sd = np.sqrt(var)
-    if kernel.kind == "energy":
+    if spec.kind in ("cramer", "energy"):
         # -E|Z| (mean of a folded normal)
         absmu = np.abs(mu)
         return -(
             sd * _SQRT_2_OVER_PI * np.exp(-(mu**2) / (2.0 * var))
             + absmu * (1.0 - 2.0 * special.ndtr(-absmu / sd))
         )
-    if kernel.kind == "rbf":
-        s2 = kernel.sigma**2
+    if spec.kind == "rbf":
+        s2 = spec.sigma**2
         return np.exp(-(mu**2) / (4.0 * s2 + 2.0 * var)) / np.sqrt(1.0 + var / (2.0 * s2))
-    # laplace, assembled in the log domain: the exp prefactor overflows for var >> s^2
-    s = kernel.sigma
-    a = var / (2.0 * s**2)
-    return np.exp(a - mu / s + special.log_ndtr(mu / sd - sd / s)) + np.exp(
-        a + mu / s + special.log_ndtr(-mu / sd - sd / s)
-    )
+    t1, t2 = _laplace_terms(mu, var, sd, spec.sigma)
+    return t1 + t2
 
 
-def gaussian_k0_dmu(kernel: KernelSpec, mu, var):
+def gaussian_k0_dmu(spec: DivergenceSpec, mu, var):
     """d/dmu of gaussian_k0, used by analytic objective gradients."""
+    if spec.kind not in _MMD_WEIGHT:
+        raise InvalidInput(f"{spec.kind} is not a kernel divergence")
     mu = np.asarray(mu, dtype=float)
     var = np.asarray(var, dtype=float)
     sd = np.sqrt(var)
-    if kernel.kind == "energy":
+    if spec.kind in ("cramer", "energy"):
         # d(-E|Z|)/dmu = -E sign(Z) = 2*Phi(-mu/sd) - 1
         return 2.0 * special.ndtr(-mu / sd) - 1.0
-    if kernel.kind == "rbf":
-        s2 = kernel.sigma**2
-        return gaussian_k0(kernel, mu, var) * (-2.0 * mu / (4.0 * s2 + 2.0 * var))
+    if spec.kind == "rbf":
+        s2 = spec.sigma**2
+        return gaussian_k0(spec, mu, var) * (-2.0 * mu / (4.0 * s2 + 2.0 * var))
     # laplace: the two Gaussian-density terms of the product rule cancel exactly
-    s = kernel.sigma
-    a = var / (2.0 * s**2)
-    t1 = np.exp(a - mu / s + special.log_ndtr(mu / sd - sd / s))
-    t2 = np.exp(a + mu / s + special.log_ndtr(-mu / sd - sd / s))
-    return (t2 - t1) / s
+    t1, t2 = _laplace_terms(mu, var, sd, spec.sigma)
+    return (t2 - t1) / spec.sigma
 
 
-def mmd2_gaussian(kernel: KernelSpec, mu1, var1, mu2, var2):
-    """Squared MMD between N(mu1, var1) and N(mu2, var2), vectorized."""
+def mmd2_gaussian(spec: DivergenceSpec, mu1, var1, mu2, var2):
+    """Squared MMD of the spec's kernel between N(mu1, var1) and N(mu2, var2),
+    vectorized."""
     return (
-        gaussian_k0(kernel, 0.0, 2.0 * np.asarray(var1, dtype=float))
-        + gaussian_k0(kernel, 0.0, 2.0 * np.asarray(var2, dtype=float))
-        - 2.0 * gaussian_k0(kernel, np.asarray(mu1) - np.asarray(mu2), np.asarray(var1) + np.asarray(var2))
+        gaussian_k0(spec, 0.0, 2.0 * np.asarray(var1, dtype=float))
+        + gaussian_k0(spec, 0.0, 2.0 * np.asarray(var2, dtype=float))
+        - 2.0 * gaussian_k0(spec, np.asarray(mu1) - np.asarray(mu2), np.asarray(var1) + np.asarray(var2))
     )
 
 
@@ -135,41 +134,13 @@ def kl_gaussian(mu1, var1, mu2, var2):
     return 0.5 * np.log(var2 / var1) + (var1 + (mu1 - mu2) ** 2) / (2.0 * var2) - 0.5
 
 
-_ENERGY1 = KernelSpec("energy")
-
-FDE_METHODS = ("cramer", "energy", "rbf", "laplace", "pdf_l2", "kl")
-
-
-def method_divergence(method: str, sigma_rbf: float = 1.0,
-                      sigma_lap: float = 1.0) -> DivergenceSpec:
-    """The divergence that an FDE method label fits: the one label map."""
-    if method in ("cramer", "pdf_l2", "kl"):
-        return DivergenceSpec(method)
-    if method == "energy":
-        return DivergenceSpec("mmd", kernel=_ENERGY1)
-    if method == "rbf":
-        return DivergenceSpec("mmd", kernel=KernelSpec("rbf", sigma=sigma_rbf))
-    if method == "laplace":
-        return DivergenceSpec("mmd", kernel=KernelSpec("laplace", sigma=sigma_lap))
-    raise InvalidInput(f"unknown FDE method {method!r}")
-
-
-def _mmd_kernel(spec: DivergenceSpec):
-    """Kernel and weight of the MMD kinds; 1-D identity: squared Cramer is
-    half of the squared energy MMD."""
-    if spec.kind == "cramer":
-        return _ENERGY1, 0.5
-    return spec.kernel, 1.0
-
-
 def closed_form_gaussian(spec: DivergenceSpec, mu1, var1, mu2, var2):
     """d(model N(mu1, var1), target N(mu2, var2)) by closed form, vectorized.
 
     The KL kind evaluates KL(target || model).
     """
-    if spec.kind in ("mmd", "cramer"):
-        kernel, weight = _mmd_kernel(spec)
-        return weight * mmd2_gaussian(kernel, mu1, var1, mu2, var2)
+    if spec.kind in _MMD_WEIGHT:
+        return _MMD_WEIGHT[spec.kind] * mmd2_gaussian(spec, mu1, var1, mu2, var2)
     if spec.kind == "pdf_l2":
         return pdf_l2_gaussian(mu1, var1, mu2, var2)
     return kl_gaussian(mu2, var2, mu1, var1)
@@ -179,9 +150,8 @@ def closed_form_gaussian_dmu1(spec: DivergenceSpec, mu1, var1, mu2, var2):
     """d/dmu1 of closed_form_gaussian: the derivative in the model mean."""
     delta = np.asarray(mu1, dtype=float) - np.asarray(mu2, dtype=float)
     s = np.asarray(var1, dtype=float) + np.asarray(var2, dtype=float)
-    if spec.kind in ("mmd", "cramer"):
-        kernel, weight = _mmd_kernel(spec)
-        return -2.0 * weight * gaussian_k0_dmu(kernel, delta, s)
+    if spec.kind in _MMD_WEIGHT:
+        return -2.0 * _MMD_WEIGHT[spec.kind] * gaussian_k0_dmu(spec, delta, s)
     if spec.kind == "pdf_l2":
         return 2.0 * delta / (s * np.sqrt(2.0 * math.pi * s)) * np.exp(-(delta**2) / (2.0 * s))
     return delta / var1  # kl
@@ -192,19 +162,21 @@ def divergence_gmm(
     p: GaussianMixture1D,
     q: GaussianMixture1D,
     rng: Optional[np.random.Generator] = None,
+    mc_samples: int = 1000,
 ) -> float:
     """d(model P, target Q) for Gaussian mixtures.
 
-    mmd/pdf_l2/cramer are exact pairwise-component sums; kl is a Monte-Carlo
-    estimate with ``spec.mc_samples`` draws per target component.
+    The kernel kinds and pdf_l2 are exact pairwise-component sums; kl is a
+    Monte-Carlo estimate with ``mc_samples`` draws per target component.
     """
+    if mc_samples < 1:
+        raise InvalidInput(f"mc_samples must be >= 1, got {mc_samples}")
     w1, m1, v1 = p.weights, p.means, p.variances
     w2, m2, v2 = q.weights, q.means, q.variances
 
-    if spec.kind in ("mmd", "cramer"):
-        kernel, weight = _mmd_kernel(spec)
-        val = weight * _pairwise_quadratic(
-            lambda dm, sv: gaussian_k0(kernel, dm, sv), w1, m1, v1, w2, m2, v2
+    if spec.kind in _MMD_WEIGHT:
+        val = _MMD_WEIGHT[spec.kind] * _pairwise_quadratic(
+            lambda dm, sv: gaussian_k0(spec, dm, sv), w1, m1, v1, w2, m2, v2
         )
         return max(float(val), 0.0)
     if spec.kind == "pdf_l2":
@@ -213,11 +185,10 @@ def divergence_gmm(
 
     if rng is None:
         raise InvalidInput(f"{spec.kind} requires an RNG")
-    b = spec.mc_samples
-    # B draws per component of Q, weighted by the component weights
+    # mc_samples draws per component of Q, weighted by the component weights
     total = 0.0
     for wj, mj, vj in zip(w2, m2, v2):
-        z = rng.normal(mj, math.sqrt(vj), size=b)
+        z = rng.normal(mj, math.sqrt(vj), size=mc_samples)
         log_q = _gmm_logpdf(z, w2, m2, v2)
         log_p = _gmm_logpdf(z, w1, m1, v1)
         total += wj * float(np.mean(log_q - log_p))

@@ -86,7 +86,8 @@ def _objective_and_grad(problem: _FoldProblem, spec: DivergenceSpec, vec: np.nda
 
 def _minimize_fold(problem: _FoldProblem, spec: DivergenceSpec, start: np.ndarray,
                    iteration: int):
-    """L-BFGS-B from the warm start; returns (theta vector, objective, start objective).
+    """L-BFGS-B from the warm start; returns (theta vector, objective, start
+    objective, whether L-BFGS-B reported success).
 
     Descent contract: the fit never ends above its warm start.
     """
@@ -101,15 +102,19 @@ def _minimize_fold(problem: _FoldProblem, spec: DivergenceSpec, start: np.ndarra
     if not np.isfinite(result.fun):
         raise OptimizationFailure("non-finite objective", iteration=iteration)
     if start_obj < result.fun:
-        return start, start_obj, start_obj
-    return result.x, float(result.fun), start_obj
+        return start, start_obj, start_obj, result.success
+    return result.x, float(result.fun), start_obj, result.success
 
 
 @dataclass(frozen=True)
 class FitTrace:
+    """Per-fold end and warm-start objectives, the fold count, and the 1-based
+    indices of the folds whose L-BFGS-B exit reported failure."""
+
     objective_values: list
     warm_start_values: list
     t_used: int
+    not_converged_folds: list
 
 
 def _run_iterations(data: Dataset, env: LQREnv, spec: DivergenceSpec, t_count: int,
@@ -123,12 +128,17 @@ def _run_iterations(data: Dataset, env: LQREnv, spec: DivergenceSpec, t_count: i
     theta_vec = LQRTheta.zero().to_vector()
     objective_values = []
     warm_start_values = []
+    not_converged_folds = []
     for t, fold in enumerate(folds, start=1):
         problem = targets(_FoldProblem.from_fold(fold, env, LQRTheta.from_vector(theta_vec)))
-        theta_vec, obj, start_obj = _minimize_fold(problem, spec, theta_vec, t)
+        theta_vec, obj, start_obj, converged = _minimize_fold(problem, spec, theta_vec, t)
         objective_values.append(obj)
         warm_start_values.append(start_obj)
-    return LQRTheta.from_vector(theta_vec), FitTrace(objective_values, warm_start_values, len(folds))
+        if not converged:
+            not_converged_folds.append(t)
+    return LQRTheta.from_vector(theta_vec), FitTrace(
+        objective_values, warm_start_values, len(folds), not_converged_folds
+    )
 
 
 def fde_run(data: Dataset, env: LQREnv, spec: DivergenceSpec, t_count: int):

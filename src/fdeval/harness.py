@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bellman import Policy, bellman_backup, compact_atoms, solve_return_fixed_point
 from .distributions import mixture
-from .divergences import FDE_METHODS, method_divergence
+from .divergences import FDE_METHODS, DivergenceSpec
 from .envs import (
     LQREnv,
     estimate_dpi_lqr,
@@ -167,8 +167,8 @@ def _lqr_cell(config: ExperimentConfig, method: str, n: int, rep: int, t_count: 
         )
         theta, _ = fle_run(data, env, t_count, method_rng, mc_samples=config.b_samples)
     else:
-        spec = method_divergence(method, config.sigma_rbf, config.sigma_lap)
-        theta, _ = fde_run(data, env, spec, t_count)
+        sigma = {"rbf": config.sigma_rbf, "laplace": config.sigma_lap}.get(method)
+        theta, _ = fde_run(data, env, DivergenceSpec(method, sigma), t_count)
     return lqr_inaccuracy(theta, theta_star, dpi_states, dpi_actions)
 
 

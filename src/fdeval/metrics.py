@@ -22,7 +22,8 @@ from .errors import InvalidInput
 class MetricSpec:
     """Base-metric selector with its scale-sensitivity and convexity constants.
 
-    kind: "wasserstein" (p >= 1), "energy" (the energy MMD) or "cramer".
+    kind: "wasserstein" (p >= 1), "energy" (the energy MMD) or "cramer";
+    only Wasserstein takes an order p.
     The (c, q) pair is derived from the kind, as the survey constants:
     Wasserstein-p has c = 1, q = p; energy MMD has c = 1/2, q = 1; Cramer
     has c = 1/2, q = 2.
@@ -36,8 +37,10 @@ class MetricSpec:
     def __post_init__(self):
         if self.kind not in ("wasserstein", "energy", "cramer"):
             raise InvalidInput(f"unknown metric kind {self.kind!r}")
-        if self.kind == "wasserstein" and self.p < 1:
+        if self.kind == "wasserstein" and not self.p >= 1:  # NaN included
             raise InvalidInput("wasserstein order must be >= 1")
+        if self.kind != "wasserstein" and self.p != 1.0:
+            raise InvalidInput(f"{self.kind} has no order, got p={self.p}")
         if self.kind == "wasserstein":
             c, q = 1.0, self.p
         elif self.kind == "energy":
@@ -58,7 +61,8 @@ class MetricSpec:
 
 @dataclass(frozen=True)
 class ExtensionSpec:
-    """Table extension: "supremum", or "expectation" with order q and weights."""
+    """Table extension: "supremum", or "expectation" with order q and weights;
+    the supremum takes neither."""
 
     mode: str
     q: float = 1.0
@@ -67,13 +71,14 @@ class ExtensionSpec:
     def __post_init__(self):
         if self.mode not in ("supremum", "expectation"):
             raise InvalidInput(f"unknown extension mode {self.mode!r}")
-        if self.mode == "expectation":
-            if self.q < 1:
-                raise InvalidInput("extension order must be >= 1")
-            if self.weights is not None:
-                total = sum(self.weights.values())
-                if abs(total - 1.0) > 1e-9:
-                    raise InvalidInput(f"extension weights sum to {total}, not 1")
+        if self.mode == "supremum" and (self.q != 1.0 or self.weights is not None):
+            raise InvalidInput("the supremum extension takes no order q and no weights")
+        if not self.q >= 1:  # NaN included
+            raise InvalidInput("extension order must be >= 1")
+        if self.weights is not None:
+            total = sum(self.weights.values())
+            if abs(total - 1.0) > 1e-9:
+                raise InvalidInput(f"extension weights sum to {total}, not 1")
 
 
 def _atomic_quantile_segments(p: Atomic, q: Atomic):
@@ -107,7 +112,7 @@ def _sorted_atoms(a: Atomic):
 def wasserstein_1d(p: float, dist1: Atomic, dist2: Atomic) -> float:
     """Wasserstein-p distance between two atomic measures, by the exact
     quantile coupling over their merged CDF breakpoints."""
-    if p < 1:
+    if not p >= 1:  # NaN included
         raise InvalidInput("wasserstein order must be >= 1")
     widths, qp, qq = _atomic_quantile_segments(dist1, dist2)
     return float(np.sum(widths * np.abs(qp - qq) ** p) ** (1.0 / p))

@@ -8,20 +8,18 @@ means no counterexample was found at the given seed, not a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .bellman import Policy, TabularMDP, apply_bellman, sup_w1, zero_table
 from .distributions import Atomic, GaussianMixture1D
 from .divergences import (
-    _ENERGY1,
     FDE_METHODS,
+    DivergenceSpec,
     closed_form_gaussian,
     divergence_gmm,
     energy_mmd2_atomic,
     kl_gaussian,
-    method_divergence,
     mmd2_gaussian,
 )
 from .envs import tabular_collect, tabular_make_random
@@ -138,8 +136,7 @@ def minimizer_suite(seed: int, mc_samples: int = 4000) -> dict:
         m = rng.normal(0.0, 1.0, size=3)
         guess[sa] = GaussianMixture1D(tuple((float(wi), float(mi), base_var) for wi, mi in zip(w, m)))
 
-    specs = {method: method_divergence(method) for method in FDE_METHODS}
-    specs["kl"] = replace(specs["kl"], mc_samples=mc_samples)
+    specs = {method: DivergenceSpec(method) for method in FDE_METHODS}
 
     violations = []
     trials = 0
@@ -171,7 +168,9 @@ def minimizer_suite(seed: int, mc_samples: int = 4000) -> dict:
                     # realization across candidates, so MC noise cancels in
                     # the argmin comparison
                     mc_rng = np.random.default_rng((seed, sa_index, b_index))
-                    total += prob * divergence_gmm(spec, cand, backup, rng=mc_rng)
+                    total += prob * divergence_gmm(
+                        spec, cand, backup, rng=mc_rng, mc_samples=mc_samples
+                    )
                 scores[label] = total
             best = min(scores, key=scores.get)
             margin = min(v for k, v in scores.items() if k != "true") - scores["true"]
@@ -212,14 +211,13 @@ def slc_suite(seed: int, trials: int = 200) -> dict:
 def _mc_divergence(spec, mu1, v1, mu2, v2, n, rng):
     """Paired-draw Monte-Carlo estimate (value, standard error)."""
     sd1, sd2 = math.sqrt(v1), math.sqrt(v2)
-    if spec.kind in ("mmd", "cramer"):
-        kernel = _ENERGY1 if spec.kind == "cramer" else spec.kernel
-        if kernel.kind == "energy":
-            h = lambda d: -np.abs(d)
-        elif kernel.kind == "rbf":
-            h = lambda d: np.exp(-(d**2) / (4.0 * kernel.sigma**2))
+    if spec.kind in ("cramer", "energy", "rbf", "laplace"):
+        if spec.kind == "rbf":
+            h = lambda d: np.exp(-(d**2) / (4.0 * spec.sigma**2))
+        elif spec.kind == "laplace":
+            h = lambda d: np.exp(-np.abs(d) / spec.sigma)
         else:
-            h = lambda d: np.exp(-np.abs(d) / kernel.sigma)
+            h = lambda d: -np.abs(d)
         x1 = rng.normal(mu1, sd1, size=n)
         x2 = rng.normal(mu1, sd1, size=n)
         y1 = rng.normal(mu2, sd2, size=n)
@@ -235,15 +233,12 @@ def _mc_divergence(spec, mu1, v1, mu2, v2, n, rng):
             return np.exp(-((z - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
         stat = pdf(x, mu1, v1) - pdf(x, mu2, v2) - pdf(y, mu1, v1) + pdf(y, mu2, v2)
-    elif spec.kind == "kl":
-        # convention: divergence(model P, target Q) = KL(Q || P)
+    else:  # kl; convention: divergence(model P, target Q) = KL(Q || P)
         y = rng.normal(mu2, sd2, size=n)
         stat = (
             -((y - mu2) ** 2) / (2.0 * v2) - 0.5 * math.log(v2)
             + ((y - mu1) ** 2) / (2.0 * v1) + 0.5 * math.log(v1)
         )
-    else:
-        raise InvalidInput(f"no MC oracle for kind {spec.kind!r}")
     return float(np.mean(stat)), float(np.std(stat, ddof=1) / math.sqrt(n))
 
 
@@ -257,7 +252,7 @@ def closed_forms_suite(seed: int, pairs: int = 100, mc_n: int = 1_000_000) -> di
     violations = []
     trials = 0
     for name in FDE_METHODS:
-        spec = method_divergence(name)
+        spec = DivergenceSpec(name)
         for _ in range(pairs):
             trials += 1
             mu1, mu2 = rng.uniform(-2.0, 2.0, size=2)
@@ -273,7 +268,7 @@ def closed_forms_suite(seed: int, pairs: int = 100, mc_n: int = 1_000_000) -> di
     kl_anchor = float(kl_gaussian(1.0, 1.0, 0.0, 1.0))
     if abs(kl_anchor - 0.5) > 1e-9:
         anchors.append({"anchor": "kl_unit_shift", "value": kl_anchor, "expected": 0.5})
-    energy_anchor = float(mmd2_gaussian(_ENERGY1, 0.0, 1.0, 2.0, 1.0))
+    energy_anchor = float(mmd2_gaussian(DivergenceSpec("energy"), 0.0, 1.0, 2.0, 1.0))
     if abs(energy_anchor - 1.94426) > 1e-3:
         anchors.append({"anchor": "energy_mmd2", "value": energy_anchor, "expected": 1.94426})
     violations.extend(anchors)

@@ -105,10 +105,10 @@ def test_criterion_4_closed_forms():
     elapsed = time.perf_counter() - start
     assert report["passed"], report["violations"][:3]
     assert elapsed <= 120
-    from fdeval.divergences import KernelSpec, kl_gaussian, mmd2_gaussian
+    from fdeval.divergences import DivergenceSpec, kl_gaussian, mmd2_gaussian
 
     assert kl_gaussian(1.0, 1.0, 0.0, 1.0) == pytest.approx(0.5, abs=1e-9)
-    energy = KernelSpec("energy")
+    energy = DivergenceSpec("energy")
     assert mmd2_gaussian(energy, 0.0, 1.0, 2.0, 1.0) == pytest.approx(1.94426, abs=1e-3)
     print(
         f"\n[criterion 4] PASS: {report['trials']} closed-vs-MC checks within "

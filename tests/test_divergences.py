@@ -10,7 +10,6 @@ from fdeval.distributions import Atomic, GaussianMixture1D
 from fdeval.divergences import (
     FDE_METHODS,
     DivergenceSpec,
-    KernelSpec,
     closed_form_gaussian,
     closed_form_gaussian_dmu1,
     divergence_gmm,
@@ -19,16 +18,15 @@ from fdeval.divergences import (
     gaussian_k0_dmu,
     kl_gaussian,
     mmd2_gaussian,
-    method_divergence,
     pdf_l2_gaussian,
 )
 from fdeval.envs import LQREnv
 from fdeval.errors import InvalidInput
-from fdeval.metrics import MetricSpec
+from fdeval.metrics import ExtensionSpec, MetricSpec
 
-ENERGY = KernelSpec("energy")
-RBF = KernelSpec("rbf", sigma=1.0)
-LAPLACE = KernelSpec("laplace", sigma=1.0)
+ENERGY = DivergenceSpec("energy")
+RBF = DivergenceSpec("rbf", sigma=1.0)
+LAPLACE = DivergenceSpec("laplace", sigma=1.0)
 
 
 def _k0_quadrature(kernel, mu, var):
@@ -75,7 +73,7 @@ def test_closed_form_dmu1_matches_central_difference(method, delta):
     closed form in the model mean, at the two variances of the LQR fit."""
     env = LQREnv.default()
     v1, v2 = env.return_variance, env.gamma**2 * env.return_variance
-    spec = method_divergence(method)
+    spec = DivergenceSpec(method)
     h = 1e-3
     fd = (
         closed_form_gaussian(spec, delta + h, v1, 0.0, v2)
@@ -128,16 +126,13 @@ def test_divergences_vanish_at_identity():
     p = (1.3, 2.0)
     for kind in ("cramer", "pdf_l2", "kl"):
         assert closed_form_gaussian(DivergenceSpec(kind), *p, *p) == pytest.approx(0.0, abs=1e-10)
-    assert closed_form_gaussian(DivergenceSpec("mmd", kernel=RBF), *p, *p) == pytest.approx(
-        0.0, abs=1e-10
-    )
+    assert closed_form_gaussian(RBF, *p, *p) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_gmm_divergence_reduces_to_gaussian_case():
     p1 = GaussianMixture1D(((1.0, 0.0, 1.0),))
     q1 = GaussianMixture1D(((1.0, 1.5, 2.0),))
-    for kind, kernel in (("mmd", ENERGY), ("mmd", RBF), ("cramer", None), ("pdf_l2", None)):
-        spec = DivergenceSpec(kind, kernel=kernel)
+    for spec in (ENERGY, RBF, DivergenceSpec("cramer"), DivergenceSpec("pdf_l2")):
         assert divergence_gmm(spec, p1, q1) == pytest.approx(
             closed_form_gaussian(spec, 0.0, 1.0, 1.5, 2.0), abs=1e-10
         )
@@ -146,8 +141,9 @@ def test_gmm_divergence_reduces_to_gaussian_case():
 def test_gmm_kl_mc_matches_closed_form():
     p1 = GaussianMixture1D(((1.0, 0.0, 1.0),))
     q1 = GaussianMixture1D(((1.0, 1.0, 1.0),))
-    spec = DivergenceSpec("kl", mc_samples=200_000)
-    est = divergence_gmm(spec, p1, q1, rng=np.random.default_rng(0))
+    est = divergence_gmm(
+        DivergenceSpec("kl"), p1, q1, rng=np.random.default_rng(0), mc_samples=200_000
+    )
     assert est == pytest.approx(0.5, abs=0.02)
 
 
@@ -180,14 +176,48 @@ def test_cramer_atomic_identity_with_energy():
         )
 
 
-def test_kernel_spec_validation():
+_UNIT = GaussianMixture1D(((1.0, 0.0, 1.0),))
+_UNREAD_FIELDS = [
+    *((DivergenceSpec, (kind,), {"sigma": 1.0}) for kind in ("cramer", "energy", "pdf_l2", "kl")),
+    *((DivergenceSpec, (kind,), {"sigma": sigma})
+      for kind in ("rbf", "laplace") for sigma in (0.0, -1.0, float("nan"))),
+    *((DivergenceSpec, (kind,), {}) for kind in ("mmd", "coulomb", "unknown", "tvd_mc")),
+    (MetricSpec, ("energy",), {"p": 7.0}),
+    (MetricSpec, ("cramer",), {"p": 0.5}),
+    (MetricSpec, ("wasserstein",), {"p": float("nan")}),
+    (ExtensionSpec, ("supremum",), {"q": 5.0}),
+    (ExtensionSpec, ("supremum",), {"q": 0.1}),
+    (ExtensionSpec, ("supremum",), {"weights": {"z": 1.0}}),
+    (divergence_gmm, (DivergenceSpec("kl"), _UNIT, _UNIT, np.random.default_rng(0)),
+     {"mc_samples": 0}),
+]
+
+
+@pytest.mark.parametrize(
+    "build,args,kwargs", _UNREAD_FIELDS,
+    ids=[
+        "-".join([b.__name__, a[0] if isinstance(a[0], str) else a[0].kind]
+                 + [f"{key}={value}" for key, value in k.items()])
+        for b, a, k in _UNREAD_FIELDS
+    ],
+)
+def test_specs_reject_fields_they_never_read(build, args, kwargs):
+    """A divergence is named by its method label alone; a bandwidth belongs to
+    rbf and laplace, an order to Wasserstein and to the expectation
+    extension.  Any other value is rejected rather than ignored."""
     with pytest.raises(InvalidInput):
-        KernelSpec("rbf", sigma=0.0)
+        build(*args, **kwargs)
+
+
+def test_spec_defaults_are_the_bandwidth_and_order_one():
+    assert DivergenceSpec("rbf").sigma == DivergenceSpec("laplace").sigma == 1.0
+    assert DivergenceSpec("energy").sigma is None
+    assert MetricSpec("energy", p=1.0) == MetricSpec("energy")
+    assert ExtensionSpec("supremum", q=1.0, weights=None) == ExtensionSpec("supremum")
+
+
+@pytest.mark.parametrize("kind", ["kl", "pdf_l2"])
+@pytest.mark.parametrize("fn", [gaussian_k0, gaussian_k0_dmu])
+def test_kernel_expectations_reject_non_kernel_kinds(fn, kind):
     with pytest.raises(InvalidInput):
-        DivergenceSpec("mmd")
-    with pytest.raises(InvalidInput):
-        DivergenceSpec("unknown")
-    with pytest.raises(InvalidInput):
-        DivergenceSpec("tvd_mc")
-    with pytest.raises(InvalidInput):
-        KernelSpec("coulomb")
+        fn(DivergenceSpec(kind), 0.5, 1.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fdeval.divergences import FDE_METHODS, DivergenceSpec, closed_form_gaussian, method_divergence
+from fdeval.divergences import FDE_METHODS, DivergenceSpec, closed_form_gaussian
 from fdeval.envs import (
     Dataset,
     LQREnv,
@@ -117,7 +117,7 @@ def test_objective_permutation_invariance():
     )
     theta = LQRTheta.from_vector(rng.normal(size=12))
     prev = LQRTheta.from_vector(rng.normal(size=12))
-    for spec in map(method_divergence, FDE_METHODS):
+    for spec in map(DivergenceSpec, FDE_METHODS):
         a = _objective(data, theta, prev, env, spec)
         b = _objective(shuffled, theta, prev, env, spec)
         assert a == pytest.approx(b, abs=1e-12)
@@ -152,7 +152,7 @@ def test_analytic_gradient_matches_finite_difference(name):
             resid = feats @ vec - draws
             return 0.5 * np.log(2 * np.pi * v) + np.mean(resid**2) / (2 * v)
     else:
-        spec = method_divergence(name)
+        spec = DivergenceSpec(name)
 
         def objective(vec):
             return np.mean(closed_form_gaussian(
@@ -221,7 +221,7 @@ def test_population_minimizer_consistency(name):
     theta_star = lqr_true_params(env)
     data = _dummy_dataset(100_000, seed=11)
     problem = _FoldProblem.from_fold(data, env, theta_star)
-    vec, _, _ = _minimize_fold(problem, method_divergence(name), theta_star.to_vector(), 1)
+    vec, *_ = _minimize_fold(problem, DivergenceSpec(name), theta_star.to_vector(), 1)
     fitted = LQRTheta.from_vector(vec)
     probe = lqr_collect(env, 4000, np.random.default_rng(12))
     gap = np.abs(
@@ -272,3 +272,20 @@ def test_optimization_failure_on_nonfinite_data():
     )
     with np.errstate(invalid="ignore"), pytest.raises(OptimizationFailure):
         fde_run(broken, env, DivergenceSpec("kl"), 1)
+
+
+def test_trace_records_folds_whose_optimizer_exit_failed():
+    """L-BFGS-B reports failure on the last fold of the energy fit of the
+    lqr-sweep benchmark's master seed 5 input (n = 300, rep 0); the trace
+    names that fold, and the well-posed KL fit of the same data names none."""
+    from fdeval.harness import _TAG_DATA, ExperimentConfig, _cell_seed
+
+    env = LQREnv.default()
+    config = ExperimentConfig(n_list=(300,), reps=1, master_seed=5)
+    data = lqr_collect(env, 300, np.random.default_rng(_cell_seed(config, 0, 300, _TAG_DATA)))
+    t_count = choose_t(300, env.gamma)
+    _, energy = fde_run(data, env, DivergenceSpec("energy"), t_count)
+    assert energy.not_converged_folds
+    assert all(1 <= t <= t_count for t in energy.not_converged_folds)
+    _, kl = fde_run(data, env, DivergenceSpec("kl"), t_count)
+    assert kl.not_converged_folds == []

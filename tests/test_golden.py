@@ -1,0 +1,36 @@
+"""Golden values: the inaccuracy of a small seeded sweep, pinned.
+
+A refactor must leave every number bit-identical, so these values catch one
+that moves a number.  A change that moves numbers on purpose re-records them
+and says so in CHANGES.md.
+"""
+
+import pytest
+
+from fdeval.harness import ExperimentConfig, run_experiment
+
+LQR_SEED_3_N_300 = {
+    "cramer": 4.424416281652109,
+    "energy": 4.424423262621342,
+    "fle": 26.137722710844784,
+    "kl": 4.421643040562019,
+    "laplace": 31.462813030292384,
+    "pdf_l2": 9.682662926676445,
+    "rbf": 64.41308993181565,
+}
+TABULAR_2X1_SEED_3_N_300 = 6.827727556358773
+
+
+def test_lqr_sweep_inaccuracy_is_pinned():
+    reports = run_experiment(ExperimentConfig(n_list=(300,), reps=1, master_seed=3))
+    assert not any(r.failed for r in reports)
+    assert {r.method: r.inaccuracy for r in reports} == pytest.approx(LQR_SEED_3_N_300, rel=1e-12)
+
+
+def test_tabular_cell_inaccuracy_is_pinned():
+    (report,) = run_experiment(ExperimentConfig(
+        experiment="tabular", methods=("energy",), n_list=(300,), reps=1,
+        tabular_states=2, tabular_actions=1, master_seed=3,
+    ))
+    assert not report.failed
+    assert report.inaccuracy == pytest.approx(TABULAR_2X1_SEED_3_N_300, rel=1e-12)

@@ -86,3 +86,10 @@ def test_slc_check_detects_wrong_scale_constant():
     metric = MetricSpec("wasserstein", p=1.0)
     report = slc_property_check(metric, 100, np.random.default_rng(0), c_override=2.0)
     assert any(v["property"] == "scale" for v in report["violations"])
+
+
+@pytest.mark.parametrize("p", [0.5, float("nan")])
+def test_wasserstein_order_below_one_or_nan_is_rejected(p):
+    a = Atomic([0.0], [1.0])
+    with pytest.raises(InvalidInput):
+        wasserstein_1d(p, a, Atomic([1.0], [1.0]))
