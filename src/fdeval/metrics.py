@@ -76,6 +76,8 @@ class ExtensionSpec:
         if not self.q >= 1:  # NaN included
             raise InvalidInput("extension order must be >= 1")
         if self.weights is not None:
+            if any(not w >= 0 for w in self.weights.values()):  # NaN included
+                raise InvalidInput("extension weights must be >= 0")
             total = sum(self.weights.values())
             if abs(total - 1.0) > 1e-9:
                 raise InvalidInput(f"extension weights sum to {total}, not 1")

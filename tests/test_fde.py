@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from fdeval.divergences import FDE_METHODS, DivergenceSpec, closed_form_gaussian
 from fdeval.envs import (
@@ -23,6 +24,7 @@ from fdeval.fde import (
     fle_run,
     split_dataset,
 )
+from fdeval.harness import _TAG_DATA, ExperimentConfig, _cell_seed
 
 def test_choose_t_anchor_values():
     assert choose_t(1000, 0.99) == 34
@@ -289,3 +291,54 @@ def test_trace_records_folds_whose_optimizer_exit_failed():
     assert all(1 <= t <= t_count for t in energy.not_converged_folds)
     _, kl = fde_run(data, env, DivergenceSpec("kl"), t_count)
     assert kl.not_converged_folds == []
+
+
+def _sweep_data(env, master_seed, n):
+    """The dataset of a default LQR sweep's cell at (master seed, n, rep 0)."""
+    seed = _cell_seed(ExperimentConfig(master_seed=master_seed), 0, n, _TAG_DATA)
+    return lqr_collect(env, n, np.random.default_rng(seed))
+
+
+def _warm_start_fit(problem, spec, start):
+    """The slow reference: L-BFGS-B from the warm start alone, never ending
+    above that start."""
+    def fun_jac(vec):
+        return _objective_and_grad(problem, spec, vec)
+
+    result = optimize.minimize(
+        fun_jac, start, jac=True, method="L-BFGS-B",
+        options={"maxfun": 2000, "gtol": 1e-8, "ftol": 1e-14},
+    )
+    return min(float(result.fun), fun_jac(start)[0])
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2])
+def test_fold_fit_is_no_worse_than_warm_started_lbfgs(master_seed):
+    """On every fold of a sweep cell, the fit started from the better of the
+    warm start and the least-squares point ends no higher than L-BFGS-B from
+    the warm start alone; a KL fold ends at the least-squares fit."""
+    env = LQREnv.default()
+    for n in (300, 1000):
+        folds = split_dataset(_sweep_data(env, master_seed, n), choose_t(n, env.gamma))
+        for kind in FDE_METHODS:
+            spec = DivergenceSpec(kind)
+            vec = LQRTheta.zero().to_vector()
+            for t, fold in enumerate(folds, start=1):
+                problem = _FoldProblem.from_fold(fold, env, LQRTheta.from_vector(vec))
+                reference = _warm_start_fit(problem, spec, vec)
+                vec, obj, *_ = _minimize_fold(problem, spec, vec, t)
+                assert obj <= reference + 1e-8, (kind, n, t)
+                if kind == "kl":
+                    coef = np.linalg.lstsq(problem.features, problem.target_means, rcond=None)[0]
+                    np.testing.assert_allclose(
+                        problem.features @ vec, problem.features @ coef, rtol=0, atol=1e-9
+                    )
+
+
+def test_trace_records_folds_started_from_least_squares():
+    """The least-squares point is the exact KL minimizer, so every KL fold
+    starts from it."""
+    env = LQREnv.default()
+    t_count = choose_t(300, env.gamma)
+    _, trace = fde_run(_sweep_data(env, 0, 300), env, DivergenceSpec("kl"), t_count)
+    assert trace.least_squares_start_folds == list(range(1, t_count + 1))

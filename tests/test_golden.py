@@ -10,13 +10,13 @@ import pytest
 from fdeval.harness import ExperimentConfig, run_experiment
 
 LQR_SEED_3_N_300 = {
-    "cramer": 4.424416281652109,
-    "energy": 4.424423262621342,
-    "fle": 26.137722710844784,
-    "kl": 4.421643040562019,
-    "laplace": 31.462813030292384,
-    "pdf_l2": 9.682662926676445,
-    "rbf": 64.41308993181565,
+    "cramer": 4.421848215794151,
+    "energy": 4.421848655414638,
+    "fle": 26.137587271455786,
+    "kl": 4.421668771104279,
+    "laplace": 4.421584394510143,
+    "pdf_l2": 4.421591306084729,
+    "rbf": 4.4215913567806755,
 }
 TABULAR_2X1_SEED_3_N_300 = 6.827727556358773
 

@@ -93,3 +93,11 @@ def test_wasserstein_order_below_one_or_nan_is_rejected(p):
     a = Atomic([0.0], [1.0])
     with pytest.raises(InvalidInput):
         wasserstein_1d(p, a, Atomic([1.0], [1.0]))
+
+
+@pytest.mark.parametrize("weights", [{"x": 2.0, "y": -1.0}, {"x": float("nan"), "y": 1.0}])
+def test_expectation_weights_must_be_nonnegative(weights):
+    """Weights 2 and -1 sum to 1, yet gave W1 = sqrt(2) between tables whose
+    entries are at most 1 apart; an occupancy weighting is never negative."""
+    with pytest.raises(InvalidInput, match=">= 0"):
+        ExtensionSpec("expectation", weights=weights)
