@@ -4,11 +4,11 @@ Each iteration fits the quadratic-mean Gaussian model to the single-sample
 Bellman backups of one data fold.  The known-noise variance is held fixed,
 so the fit is over the 12 matrix entries of (M1, M2, M3) only, and every
 divergence is a scalar loss of the mean residual, minimized by L-BFGS-B with
-its analytic gradient.  Each fold's L-BFGS-B run starts from whichever has
-the lower objective: the previous iterate (the warm start) or the anchored
-least-squares point, the warm start plus the minimum-norm least-squares fit
-of its residual.  That point is the exact minimizer for the KL loss and lies
-next to the minimizer for the bounded losses, where a warm start can stall.
+its analytic gradient.  Each fold's L-BFGS-B run starts from the anchored
+least-squares point: the previous iterate (the warm start) plus the
+minimum-norm least-squares fit of its residual.  That point is the exact
+minimizer for the KL loss and lies next to the minimizer for the bounded
+losses, where L-BFGS-B from the warm start can stall.
 """
 
 from __future__ import annotations
@@ -101,50 +101,41 @@ def _least_squares_point(problem: _FoldProblem, start: np.ndarray) -> np.ndarray
 
 def _minimize_fold(problem: _FoldProblem, spec: DivergenceSpec, start: np.ndarray,
                    iteration: int):
-    """L-BFGS-B from the better of the warm start and the anchored
-    least-squares point; returns (theta vector, objective, warm-start
-    objective, whether L-BFGS-B reported success, whether it started from the
-    least-squares point).
+    """L-BFGS-B from the anchored least-squares point; returns (theta vector,
+    objective, warm-start objective, whether L-BFGS-B reported success).
 
-    Descent contract: the fit never ends above the point it started from, so
-    never above its warm start.
+    Descent contract: the fit never ends above its warm start.
     """
     def fun_jac(vec):
         return _objective_and_grad(problem, spec, vec)
 
     start_obj = fun_jac(start)[0]
-    ls = _least_squares_point(problem, start)
-    ls_obj = fun_jac(ls)[0]
-    from_ls = ls_obj < start_obj  # False when either is NaN
-    x0, x0_obj = (ls, ls_obj) if from_ls else (start, start_obj)
     result = optimize.minimize(
-        fun_jac, x0, jac=True, method="L-BFGS-B",
+        fun_jac, _least_squares_point(problem, start), jac=True, method="L-BFGS-B",
         options={"maxfun": 2000, "gtol": 1e-8, "ftol": 1e-14},
     )
     if not np.isfinite(result.fun):
         raise OptimizationFailure("non-finite objective", iteration=iteration)
-    if x0_obj < result.fun:
-        return x0, x0_obj, start_obj, result.success, from_ls
-    return result.x, float(result.fun), start_obj, result.success, from_ls
+    if start_obj < result.fun:
+        return start, start_obj, start_obj, result.success
+    return result.x, float(result.fun), start_obj, result.success
 
 
 @dataclass(frozen=True)
 class FitTrace:
     """Per-fold end and warm-start objectives, the fold count, and the 1-based
-    indices of the folds whose L-BFGS-B exit reported failure and of the folds
-    whose fit started from the least-squares point."""
+    indices of the folds whose L-BFGS-B exit reported failure."""
 
     objective_values: list
     warm_start_values: list
     t_used: int
     not_converged_folds: list
-    least_squares_start_folds: list
 
 
 def _run_iterations(data: Dataset, env: LQREnv, spec: DivergenceSpec, t_count: int,
                     targets=lambda problem: problem):
-    """Split into ``t_count`` folds, then fit each fold from the better of the
-    previous iterate and its anchored least-squares point.
+    """Split into ``t_count`` folds, then fit each fold from the anchored
+    least-squares point of the previous iterate.
 
     ``targets`` turns a fold's backup problem into the problem that is fitted.
     """
@@ -153,21 +144,15 @@ def _run_iterations(data: Dataset, env: LQREnv, spec: DivergenceSpec, t_count: i
     objective_values = []
     warm_start_values = []
     not_converged_folds = []
-    least_squares_start_folds = []
     for t, fold in enumerate(folds, start=1):
         problem = targets(_FoldProblem.from_fold(fold, env, LQRTheta.from_vector(theta_vec)))
-        theta_vec, obj, start_obj, converged, from_ls = _minimize_fold(
-            problem, spec, theta_vec, t
-        )
+        theta_vec, obj, start_obj, converged = _minimize_fold(problem, spec, theta_vec, t)
         objective_values.append(obj)
         warm_start_values.append(start_obj)
         if not converged:
             not_converged_folds.append(t)
-        if from_ls:
-            least_squares_start_folds.append(t)
     return LQRTheta.from_vector(theta_vec), FitTrace(
-        objective_values, warm_start_values, len(folds), not_converged_folds,
-        least_squares_start_folds,
+        objective_values, warm_start_values, len(folds), not_converged_folds
     )
 
 

@@ -280,11 +280,8 @@ def test_trace_records_folds_whose_optimizer_exit_failed():
     """L-BFGS-B reports failure on the last fold of the energy fit of the
     lqr-sweep benchmark's master seed 5 input (n = 300, rep 0); the trace
     names that fold, and the well-posed KL fit of the same data names none."""
-    from fdeval.harness import _TAG_DATA, ExperimentConfig, _cell_seed
-
     env = LQREnv.default()
-    config = ExperimentConfig(n_list=(300,), reps=1, master_seed=5)
-    data = lqr_collect(env, 300, np.random.default_rng(_cell_seed(config, 0, 300, _TAG_DATA)))
+    data = _sweep_data(env, 5, 300)
     t_count = choose_t(300, env.gamma)
     _, energy = fde_run(data, env, DivergenceSpec("energy"), t_count)
     assert energy.not_converged_folds
@@ -314,9 +311,9 @@ def _warm_start_fit(problem, spec, start):
 
 @pytest.mark.parametrize("master_seed", [0, 1, 2])
 def test_fold_fit_is_no_worse_than_warm_started_lbfgs(master_seed):
-    """On every fold of a sweep cell, the fit started from the better of the
-    warm start and the least-squares point ends no higher than L-BFGS-B from
-    the warm start alone; a KL fold ends at the least-squares fit."""
+    """On every fold of a sweep cell, the fit started from the least-squares
+    point ends no higher than L-BFGS-B from the warm start alone; a KL fold
+    ends at the least-squares fit."""
     env = LQREnv.default()
     for n in (300, 1000):
         folds = split_dataset(_sweep_data(env, master_seed, n), choose_t(n, env.gamma))
@@ -333,12 +330,3 @@ def test_fold_fit_is_no_worse_than_warm_started_lbfgs(master_seed):
                     np.testing.assert_allclose(
                         problem.features @ vec, problem.features @ coef, rtol=0, atol=1e-9
                     )
-
-
-def test_trace_records_folds_started_from_least_squares():
-    """The least-squares point is the exact KL minimizer, so every KL fold
-    starts from it."""
-    env = LQREnv.default()
-    t_count = choose_t(300, env.gamma)
-    _, trace = fde_run(_sweep_data(env, 0, 300), env, DivergenceSpec("kl"), t_count)
-    assert trace.least_squares_start_folds == list(range(1, t_count + 1))
