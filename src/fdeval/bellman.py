@@ -1,8 +1,9 @@
 """Exact distributional Bellman machinery for tabular MDPs.
 
 Return tables carry one finite atomic distribution per (state, action).
-The operator is exact on finite supports; because supports grow
-multiplicatively, an optional grid projection keeps long runs tractable.
+The operator is exact on finite supports and merges duplicate atoms;
+because supports grow multiplicatively, an optional grid projection keeps
+long runs tractable.
 """
 
 from __future__ import annotations
@@ -90,11 +91,12 @@ def bellman_backup(r: float, s_next: int, table: ReturnTable, pi: Policy, gamma:
     return mixture(parts)
 
 
-def compact_atoms(dist: Atomic, merge_tol: float = 1e-12, grid: Optional[float] = None) -> Atomic:
-    """Merge near-coincident atoms; optionally project onto a uniform grid.
+def compact_atoms(dist: Atomic, grid: Optional[float] = None) -> Atomic:
+    """Merge duplicate atoms; optionally project onto a uniform grid first.
 
     Grid projection splits each atom's mass between the two nearest grid
-    points so that the mean is preserved exactly.
+    points so that the mean is preserved exactly; atoms that land on the
+    same grid point are then bitwise equal and merge.
     """
     locs = dist.locations
     masses = dist.masses
@@ -107,31 +109,14 @@ def compact_atoms(dist: Atomic, merge_tol: float = 1e-12, grid: Optional[float] 
         masses = np.concatenate([masses * (1.0 - frac), masses * frac])
     order = np.argsort(locs, kind="stable")
     locs, masses = locs[order], masses[order]
-    # a gap above merge_tol always opens a group
     opens = np.ones(locs.size, dtype=bool)
-    opens[1:] = ~(locs[1:] - locs[:-1] <= merge_tol)
-    if not opens.all():  # merge-free supports skip the grouping's fixed cost
-        locs, masses = _merge_groups(locs, masses, opens, merge_tol)
+    opens[1:] = locs[1:] != locs[:-1]
+    if not opens.all():  # duplicate-free supports skip the grouping's fixed cost
+        # bincount adds each group's masses left to right, as a running sum would
+        locs, masses = locs[opens], np.bincount(np.cumsum(opens) - 1, weights=masses)
     nz = masses > 0
     masses = masses[nz] / masses[nz].sum()
     return Atomic(locs[nz], masses)
-
-
-def _merge_groups(locs, masses, opens, merge_tol):
-    """Merge sorted atoms: an atom joins the open group when it lies within
-    merge_tol of the group's first atom.  opens marks the atoms whose gap to
-    the previous atom exceeds merge_tol; it is updated in place."""
-    starts = np.flatnonzero(opens)
-    ends = np.concatenate((starts[1:], [locs.size])) - 1
-    # only a chain of sub-tolerance gaps wider than merge_tol splits inside
-    for i in np.flatnonzero(locs[ends] - locs[starts] > merge_tol):
-        anchor = locs[starts[i]]
-        for j in range(starts[i] + 1, ends[i] + 1):
-            if not locs[j] - anchor <= merge_tol:
-                opens[j] = True
-                anchor = locs[j]
-    # bincount adds each group's masses left to right, as a running sum would
-    return locs[opens], np.bincount(np.cumsum(opens) - 1, weights=masses)
 
 
 def apply_bellman(

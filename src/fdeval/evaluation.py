@@ -18,7 +18,11 @@ from .metrics import ExtensionSpec, MetricSpec, metric_extension
 
 @dataclass(frozen=True)
 class InaccuracyReport:
-    """One experiment cell: estimator quality plus run bookkeeping."""
+    """One experiment cell: estimator quality plus run bookkeeping.
+
+    ``not_converged`` counts the folds whose L-BFGS-B exit reported failure;
+    it is 0 on tabular cells, which fit no parameters, and on failed cells.
+    """
 
     method: str
     n: int
@@ -28,6 +32,7 @@ class InaccuracyReport:
     inaccuracy: float
     runtime_ms: float
     failed: bool = False
+    not_converged: int = 0
 
     def __post_init__(self):
         if not self.failed and not (np.isfinite(self.inaccuracy) and self.inaccuracy >= 0):

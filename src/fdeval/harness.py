@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .bellman import Policy, bellman_backup, compact_atoms, solve_return_fixed_point
+from .bellman import Policy, bellman_backup, compact_atoms, solve_return_fixed_point, zero_table
 from .distributions import mixture
 from .divergences import FDE_METHODS, DivergenceSpec
 from .envs import (
@@ -37,7 +37,9 @@ from .fde import choose_t, fde_run, fle_run, split_dataset
 
 LQR_METHODS = FDE_METHODS + ("fle",)
 
-CSV_HEADER = ["method", "n", "rep", "seed", "T", "inaccuracy", "runtime_ms", "failed"]
+CSV_HEADER = [
+    "method", "n", "rep", "seed", "T", "inaccuracy", "runtime_ms", "failed", "not_converged"
+]
 
 # purpose tags of the seed-derivation scheme
 _TAG_DATA = 0
@@ -154,7 +156,8 @@ def _data_seed_int(config: ExperimentConfig, rep: int, n: int) -> int:
     return int(_cell_seed(config, rep, n, _TAG_DATA).generate_state(1)[0])
 
 
-def _lqr_cell(config: ExperimentConfig, method: str, n: int, rep: int, t_count: int) -> float:
+def _lqr_cell(config: ExperimentConfig, method: str, n: int, rep: int, t_count: int):
+    """The cell's inaccuracy and its count of folds whose optimizer exit failed."""
     env = LQREnv.default()
     data = lqr_collect(env, n, np.random.default_rng(_cell_seed(config, rep, n, _TAG_DATA)))
     dpi_states, dpi_actions = estimate_dpi_lqr(
@@ -165,18 +168,17 @@ def _lqr_cell(config: ExperimentConfig, method: str, n: int, rep: int, t_count: 
         method_rng = np.random.default_rng(
             _cell_seed(config, rep, n, _TAG_METHOD, LQR_METHODS.index(method))
         )
-        theta, _ = fle_run(data, env, t_count, method_rng, mc_samples=config.b_samples)
+        theta, trace = fle_run(data, env, t_count, method_rng, mc_samples=config.b_samples)
     else:
         sigma = {"rbf": config.sigma_rbf, "laplace": config.sigma_lap}.get(method)
-        theta, _ = fde_run(data, env, DivergenceSpec(method, sigma), t_count)
-    return lqr_inaccuracy(theta, theta_star, dpi_states, dpi_actions)
+        theta, trace = fde_run(data, env, DivergenceSpec(method, sigma), t_count)
+    inaccuracy = lqr_inaccuracy(theta, theta_star, dpi_states, dpi_actions)
+    return inaccuracy, len(trace.not_converged_folds)
 
 
 def _tabular_fde(data, mdp, pi, t_count):
     """Nonparametric fold fits: each covered pair becomes the empirical
     mixture of its sample backups; uncovered pairs carry over."""
-    from .bellman import zero_table
-
     folds = split_dataset(data, t_count)
     table = zero_table(mdp)
     for fold in folds:
@@ -192,7 +194,8 @@ def _tabular_fde(data, mdp, pi, t_count):
     return table
 
 
-def _tabular_cell(config: ExperimentConfig, method: str, n: int, rep: int, t_count: int) -> float:
+def _tabular_cell(config: ExperimentConfig, method: str, n: int, rep: int, t_count: int):
+    """The cell's inaccuracy, and 0: the nonparametric fit runs no optimizer."""
     inst_rng = np.random.default_rng(_cell_seed(config, rep, n, _TAG_INSTANCE))
     mdp = tabular_make_random(
         config.tabular_states, config.tabular_actions, 2, inst_rng, gamma=config.tabular_gamma
@@ -209,7 +212,7 @@ def _tabular_cell(config: ExperimentConfig, method: str, n: int, rep: int, t_cou
     weights = {sa: 0.0 for sa in mdp.pairs()}
     for sa in dpi:
         weights[sa] += 1.0 / len(dpi)
-    return tabular_inaccuracy(table, truth, weights)
+    return tabular_inaccuracy(table, truth, weights), 0
 
 
 def _run_cell(args):
@@ -223,8 +226,11 @@ def _run_cell(args):
     t_count = choose_t(n, LQREnv.default().gamma if lqr else config.tabular_gamma, config.c_divide)
     row = (method, n, rep, _data_seed_int(config, rep, n), t_count)
     try:
-        inaccuracy = (_lqr_cell if lqr else _tabular_cell)(config, method, n, rep, t_count)
-        return InaccuracyReport(*row, inaccuracy, 1000.0 * (time.perf_counter() - start))
+        inaccuracy, not_converged = (_lqr_cell if lqr else _tabular_cell)(
+            config, method, n, rep, t_count
+        )
+        runtime_ms = 1000.0 * (time.perf_counter() - start)
+        return InaccuracyReport(*row, inaccuracy, runtime_ms, not_converged=not_converged)
     except FdevalError:
         return InaccuracyReport(*row, math.nan, 1000.0 * (time.perf_counter() - start), True)
 
@@ -246,9 +252,10 @@ def run_experiment(config: ExperimentConfig) -> list:
     return reports
 
 
-def write_reports(reports, config: ExperimentConfig, path: Optional[str] = None) -> str:
-    """Write the CSV plus a JSON metadata sidecar; returns the CSV path."""
-    path = path or config.output_path
+def write_reports(reports, config: ExperimentConfig) -> str:
+    """Write the CSV plus a JSON metadata sidecar to the configured output
+    path; returns that path."""
+    path = config.output_path
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
@@ -256,7 +263,7 @@ def write_reports(reports, config: ExperimentConfig, path: Optional[str] = None)
             writer.writerow(
                 [r.method, r.n, r.rep, r.seed, r.t_used,
                  "nan" if r.failed else repr(r.inaccuracy),
-                 f"{r.runtime_ms:.3f}", int(r.failed)]
+                 f"{r.runtime_ms:.3f}", int(r.failed), r.not_converged]
             )
     meta = {
         "version": __version__,
@@ -272,10 +279,15 @@ def load_config_file(path: str) -> dict:
     """Read a key = value config file into override kwargs for ExperimentConfig.
 
     Its keys are those of SETTINGS; a section or key that nothing reads is
-    rejected.
+    rejected, and so is a file that does not parse.  Values are literal: a
+    ``%`` is no interpolation.
     """
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:
+        raise InvalidInput(f"config file {path!r}: {exc}") from exc
+    if not found:
         raise InvalidInput(f"cannot read config file {path!r}")
     keys = {(s.section, s.key): (name, s.parse) for name, s in SETTINGS.items()}
     out = {}

@@ -76,10 +76,9 @@ def test_compact_atoms_merges_duplicates():
     np.testing.assert_allclose(out.masses, [0.5, 0.5])
 
 
-def _compact_atoms_scan(dist, merge_tol=1e-12, grid=None):
+def _compact_atoms_scan(dist, grid=None):
     """Reference for compact_atoms: one pass over the sorted atoms, merging
-    each atom into the open group when it lies within merge_tol of the
-    group's first atom."""
+    each atom into the open group when it lies at the group's location."""
     locs, masses = dist.locations, dist.masses
     if grid is not None and grid > 0:
         lo = np.floor(locs / grid)
@@ -91,7 +90,7 @@ def _compact_atoms_scan(dist, merge_tol=1e-12, grid=None):
     keep_locs = [locs[0]]
     keep_masses = [masses[0]]
     for z, m in zip(locs[1:], masses[1:]):
-        if z - keep_locs[-1] <= merge_tol:
+        if z == keep_locs[-1]:
             keep_masses[-1] += m
         else:
             keep_locs.append(z)
@@ -102,8 +101,8 @@ def _compact_atoms_scan(dist, merge_tol=1e-12, grid=None):
     return Atomic(np.array(keep_locs)[nz], masses)
 
 
-# gaps between consecutive atoms: exact duplicates, sub-tolerance steps whose
-# chains can grow wider than merge_tol, and ordinary separations
+# gaps between consecutive atoms: exact duplicates, sub-1e-12 steps whose
+# atoms must stay apart, and ordinary separations
 _GAPS = st.one_of(st.sampled_from((0.0, 0.1, 1.3)), st.floats(2e-13, 2e-12))
 
 
@@ -122,27 +121,16 @@ def _atomic_inputs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    dist=_atomic_inputs(),
-    merge_tol=st.sampled_from((0.0, 1e-12, 3e-12)),
-    grid=st.sampled_from((None, 0.25, 1e-3)),
-)
-# a chain of four atoms 7e-13 apart spans 2.1e-12: the anchored rule splits it
-@example(dist=Atomic([0.0, 7e-13, 1.4e-12, 2.1e-12], [0.25] * 4), merge_tol=1e-12, grid=None)
-@example(dist=Atomic([1.0, 1.0, 2.0], [0.25, 0.25, 0.5]), merge_tol=0.0, grid=None)
-@example(dist=Atomic([0.3, 0.3, 0.7], [0.0, 1.0, 0.0]), merge_tol=1e-12, grid=0.25)
-def test_compact_atoms_matches_sequential_scan(dist, merge_tol, grid):
-    out = compact_atoms(dist, merge_tol=merge_tol, grid=grid)
-    ref = _compact_atoms_scan(dist, merge_tol=merge_tol, grid=grid)
+@given(dist=_atomic_inputs(), grid=st.sampled_from((None, 0.25, 1e-3)))
+# four atoms 7e-13 apart are four atoms
+@example(dist=Atomic([0.0, 7e-13, 1.4e-12, 2.1e-12], [0.25] * 4), grid=None)
+@example(dist=Atomic([1.0, 1.0, 2.0], [0.25, 0.25, 0.5]), grid=None)
+@example(dist=Atomic([0.3, 0.3, 0.7], [0.0, 1.0, 0.0]), grid=0.25)
+def test_compact_atoms_matches_sequential_scan(dist, grid):
+    out = compact_atoms(dist, grid=grid)
+    ref = _compact_atoms_scan(dist, grid=grid)
     assert np.array_equal(out.locations, ref.locations)
     assert np.array_equal(out.masses, ref.masses)
-
-
-def test_compact_atoms_splits_a_chain_wider_than_merge_tol():
-    dist = Atomic([0.0, 7e-13, 1.4e-12, 2.1e-12], [0.25] * 4)
-    out = compact_atoms(dist, merge_tol=1e-12)
-    np.testing.assert_array_equal(out.locations, [0.0, 1.4e-12])
-    np.testing.assert_array_equal(out.masses, [0.5, 0.5])
 
 
 def test_fixed_point_single_loop_geometric_sum():

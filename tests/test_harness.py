@@ -118,6 +118,19 @@ def test_datasets_are_method_invariant():
     assert r1.inaccuracy == pytest.approx(r2.inaccuracy, abs=1e-12)
 
 
+def test_rows_count_folds_whose_optimizer_exit_failed(tmp_path):
+    """The energy fit of master seed 5 at n = 300 has a fold whose L-BFGS-B
+    exit reports failure; its row counts it, and the KL row counts none."""
+    config = ExperimentConfig(methods=("energy", "kl"), n_list=(300,), reps=1, master_seed=5,
+                              output_path=str(tmp_path / "nc.csv"))
+    reports = {r.method: r for r in run_experiment(config)}
+    assert not reports["energy"].failed and reports["energy"].not_converged >= 1
+    assert reports["kl"].not_converged == 0
+    with open(write_reports(list(reports.values()), config)) as fh:
+        rows = {row["method"]: row for row in csv.DictReader(fh)}
+    assert rows["energy"]["not_converged"] == str(reports["energy"].not_converged)
+
+
 def test_tabular_cells_ignore_method_label():
     config = ExperimentConfig(
         experiment="tabular", methods=("kl", "energy"), n_list=(200,), reps=1,
@@ -125,6 +138,7 @@ def test_tabular_cells_ignore_method_label():
     )
     reports = run_experiment(config)
     assert reports[0].inaccuracy == pytest.approx(reports[1].inaccuracy, abs=1e-12)
+    assert [r.not_converged for r in reports] == [0, 0]  # no optimizer runs
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -205,6 +219,34 @@ def test_cli_bad_flag_value_exits_1_without_output(tmp_path, capsys, flags):
     assert code == 1
     assert f"error: {flags[0]}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("body", [
+    "kind = lqr\n",  # no [section] line
+    "[experiment]\nreps = 1\nreps = 2\n",  # a repeated key
+])
+def test_cli_malformed_config_file_exits_1_with_an_error_line(tmp_path, capsys, body):
+    # each used to end the run with a configparser traceback
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(body)
+    out = tmp_path / "bad.csv"
+    code = main(["run-lqr", "--config", str(cfg), "--methods", "kl", "--n", "60",
+                 "--reps", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: config file {str(cfg)!r}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_file_values_are_literal(tmp_path, capsys):
+    # a % used to be read as interpolation and end the run with a traceback
+    cfg = tmp_path / "pct.ini"
+    cfg.write_text(f"[experiment]\nout = {tmp_path / 'res_%d.csv'}\n")
+    code = main(["run-lqr", "--config", str(cfg), "--methods", "kl", "--n", "60",
+                 "--reps", "1"])
+    assert code == 0
+    assert (tmp_path / "res_%d.csv").exists()
 
 
 def test_readme_config_examples_load(tmp_path):
@@ -390,7 +432,7 @@ def test_failure_becomes_nan_row(monkeypatch, tmp_path):
     path = write_reports(reports, config)
     with open(path) as fh:
         rows = list(csv.reader(fh))
-    assert rows[1][5] == "nan" and rows[1][7] == "1"
+    assert rows[1][5] == "nan" and rows[1][7] == "1" and rows[1][8] == "0"
 
 
 def test_nonfinite_score_becomes_failed_row(monkeypatch):
