@@ -63,6 +63,8 @@ class Atomic:
             raise InvalidInput("locations and masses must be 1-D arrays of equal length")
         if masses.size == 0:
             raise InvalidInput("atomic measure needs at least one atom")
+        if not np.isfinite(locs).all():
+            raise InvalidInput("atom locations must be finite")
         if np.any(masses < 0):
             raise InvalidInput("atom masses must be nonnegative")
         if abs(masses.sum() - 1.0) > _MASS_TOL:

@@ -279,8 +279,8 @@ def load_config_file(path: str) -> dict:
     """Read a key = value config file into override kwargs for ExperimentConfig.
 
     Its keys are those of SETTINGS; a section or key that nothing reads is
-    rejected, and so is a file that does not parse.  Values are literal: a
-    ``%`` is no interpolation.
+    rejected, a key under ``[DEFAULT]`` included, and so is a file that does
+    not parse.  Values are literal: a ``%`` is no interpolation.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -289,6 +289,11 @@ def load_config_file(path: str) -> dict:
         raise InvalidInput(f"config file {path!r}: {exc}") from exc
     if not found:
         raise InvalidInput(f"cannot read config file {path!r}")
+    if parser.defaults():  # configparser would copy them into every section
+        raise InvalidInput(
+            f"config file {path!r}: keys under [{parser.default_section}] are not read: "
+            f"{sorted(parser.defaults())}"
+        )
     keys = {(s.section, s.key): (name, s.parse) for name, s in SETTINGS.items()}
     out = {}
     for section in parser.sections():

@@ -120,17 +120,97 @@ def _atomic_inputs(draw):
     return Atomic(locs[order], masses[order] / masses.sum())
 
 
+@st.composite
+def _lattice_inputs(draw, grid):
+    """Many atoms within a few cells of the grid, negative ones included:
+    offset 0 puts an atom exactly on a lattice point (frac = 0), and atoms
+    share lattice points, so the lattice window stays narrow."""
+    n = draw(st.integers(1, 60))
+    base = draw(st.integers(-8, 8))
+    cells = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    offsets = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+                 min_size=n, max_size=n)
+    )
+    masses = np.array(
+        draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=n, max_size=n))
+    )
+    assume(masses.sum() > 0)
+    locs = (base + np.array(cells) + np.array(offsets)) * grid
+    return Atomic(locs, masses / masses.sum())
+
+
+_COMPACT_CASES = st.one_of(
+    st.tuples(_atomic_inputs(), st.sampled_from((None, 0.25, 1e-3))),
+    st.sampled_from((0.25, 1e-3, 0.1)).flatmap(
+        lambda grid: st.tuples(_lattice_inputs(grid), st.just(grid))
+    ),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(dist=_atomic_inputs(), grid=st.sampled_from((None, 0.25, 1e-3)))
+@given(case=_COMPACT_CASES)
 # four atoms 7e-13 apart are four atoms
-@example(dist=Atomic([0.0, 7e-13, 1.4e-12, 2.1e-12], [0.25] * 4), grid=None)
-@example(dist=Atomic([1.0, 1.0, 2.0], [0.25, 0.25, 0.5]), grid=None)
-@example(dist=Atomic([0.3, 0.3, 0.7], [0.0, 1.0, 0.0]), grid=0.25)
-def test_compact_atoms_matches_sequential_scan(dist, grid):
+@example(case=(Atomic([0.0, 7e-13, 1.4e-12, 2.1e-12], [0.25] * 4), None))
+@example(case=(Atomic([1.0, 1.0, 2.0], [0.25, 0.25, 0.5]), None))
+@example(case=(Atomic([0.3, 0.3, 0.7], [0.0, 1.0, 0.0]), 0.25))
+# lattice path: on-grid, shared and negative atoms; a window of exactly 2n
+@example(case=(Atomic([-0.5, -0.5, -0.25, 0.0, 0.3], [0.2] * 5), 0.25))
+@example(case=(Atomic([0.0, 0.5], [0.5, 0.5]), 0.25))
+# lattice path with an index past 2**52, where every float is an integer
+@example(case=(Atomic([2.0**53], [1.0]), 0.25))
+# sort path: a window of 2n + 1, and a tiny grid over a wide support
+@example(case=(Atomic([0.0, 0.75], [0.5, 0.5]), 0.25))
+@example(case=(Atomic([-3.0, 0.1, 4.0], [0.2, 0.3, 0.5]), 1e-9))
+def test_compact_atoms_matches_sequential_scan(case):
+    dist, grid = case
     out = compact_atoms(dist, grid=grid)
     ref = _compact_atoms_scan(dist, grid=grid)
     assert np.array_equal(out.locations, ref.locations)
     assert np.array_equal(out.masses, ref.masses)
+
+
+@pytest.mark.parametrize("dist, grid, sorts", [
+    (Atomic([-0.5, -0.5, -0.25, 0.0, 0.3], [0.2] * 5), 0.25, False),
+    (Atomic([0.0, 0.5], [0.5, 0.5]), 0.25, False),
+    (Atomic([0.0, 0.75], [0.5, 0.5]), 0.25, True),
+    (Atomic([-3.0, 0.1, 4.0], [0.2, 0.3, 0.5]), 1e-9, True),
+    (Atomic([2.0**53], [1.0]), 0.25, False),
+    (Atomic([1.0, 1.0, 2.0], [0.25, 0.25, 0.5]), None, True),
+])
+def test_compact_atoms_sorts_only_off_a_narrow_lattice(monkeypatch, dist, grid, sorts):
+    """The lattice path runs when the window k_max - k_min + 2 is at most the
+    2n split atoms, the sort path otherwise."""
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(1) or argsort(*a, **kw))
+    compact_atoms(dist, grid=grid)
+    assert bool(calls) == sorts
+
+
+@pytest.mark.parametrize("grid", [0.0, -1.0, np.nan, np.inf])
+def test_grid_must_be_none_or_a_finite_positive_number(grid):
+    # a grid of 0 used to skip the projection, and the fixed-point solve
+    # then iterated on supports that grew at every step
+    with pytest.raises(InvalidInput, match="grid"):
+        compact_atoms(Atomic([0.3, 0.7], [0.5, 0.5]), grid=grid)
+    with pytest.raises(InvalidInput, match="grid"):
+        solve_return_fixed_point(single_loop_mdp(), Policy.uniform(1, 1), grid=grid)
+
+
+def test_fixed_point_matches_the_sequential_scan_bitwise(monkeypatch):
+    from fdeval import bellman
+    from fdeval.envs import tabular_make_random
+
+    mdp = tabular_make_random(2, 2, 2, np.random.default_rng(0), gamma=0.5)
+    pi = Policy.uniform(2, 2)
+    table = solve_return_fixed_point(mdp, pi)
+    monkeypatch.setattr(bellman, "compact_atoms", _compact_atoms_scan)
+    ref = solve_return_fixed_point(mdp, pi)
+    assert table.keys() == ref.keys()
+    for sa in ref:
+        assert table[sa].locations.tobytes() == ref[sa].locations.tobytes()
+        assert table[sa].masses.tobytes() == ref[sa].masses.tobytes()
 
 
 def test_fixed_point_single_loop_geometric_sum():

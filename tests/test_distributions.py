@@ -35,6 +35,14 @@ def test_atomic_is_a_1d_measure():
         mixture([(1.0, GaussianMixture1D(((1.0, 0.0, 1.0),)))])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_atomic_rejects_non_finite_locations(bad):
+    # a NaN atom used to pass, and grid compaction then dropped its mass
+    # silently while the Wasserstein distance returned nan or inf
+    with pytest.raises(InvalidInput, match="finite"):
+        Atomic([bad, 1.0], [0.5, 0.5])
+
+
 def test_push_forward_atomic_shifts_and_scales():
     a = Atomic([0.0, 2.0], [0.3, 0.7])
     out = push_forward(a, 1.0, 0.9)

@@ -239,6 +239,24 @@ def test_cli_malformed_config_file_exits_1_with_an_error_line(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("body", [
+    "[DEFAULT]\nreps = 7\n",  # used to load as {}
+    "[DEFAULT]\nreps = 7\n[experiment]\nseed = 1\n",  # used to put reps = 7 in [experiment]
+])
+def test_config_file_keys_under_default_are_rejected(tmp_path, capsys, body):
+    cfg = tmp_path / "default.ini"
+    cfg.write_text(body)
+    with pytest.raises(InvalidInput, match=r"\[DEFAULT\]"):
+        load_config_file(str(cfg))
+    out = tmp_path / "out.csv"
+    code = main(["run-lqr", "--config", str(cfg), "--methods", "kl", "--n", "60",
+                 "--reps", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "[DEFAULT]" in err
+    assert not out.exists()
+
+
 def test_config_file_values_are_literal(tmp_path, capsys):
     # a % used to be read as interpolation and end the run with a traceback
     cfg = tmp_path / "pct.ini"
