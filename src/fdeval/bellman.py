@@ -3,7 +3,11 @@
 Return tables carry one finite atomic distribution per (state, action).
 The operator is exact on finite supports and merges duplicate atoms;
 because supports grow multiplicatively, an optional grid projection keeps
-long runs tractable.
+long runs tractable.  Each backup is built in one pass: ``backup_mixture``
+concatenates the shifted, scaled atoms of every (sample, action) term into
+one Atomic, which compaction then merges.  The fixed-point solve measures
+its per-step change on the projection lattice, where W1 is the grid step
+times the summed |CDF difference|.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import Atomic, mixture, push_forward
+from .distributions import Atomic
 from .errors import InvalidInput, NonConvergence
 from .metrics import wasserstein_1d
 
@@ -78,17 +82,33 @@ def zero_table(mdp: TabularMDP) -> ReturnTable:
     return {sa: Atomic([0.0], [1.0]) for sa in mdp.pairs()}
 
 
+def backup_mixture(samples, table: ReturnTable, pi: Policy, gamma: float) -> Atomic:
+    """Mixture of the pi-backups of weighted samples (weight, r, s_next).
+
+    Sample j contributes the atoms r_j + gamma * z of every table[(s_next_j, a)]
+    with pi(a | s_next_j) > 0, at masses weight_j * ((pi(a | s_next_j) / scale)
+    * m), where scale sums those pi entries.  The weights must sum to 1.  All
+    atoms go into one concatenation and one Atomic, in sample order and then
+    action order, with the floats of a mixture over samples of mixtures over
+    actions of push-forwards.
+    """
+    if not 0 <= gamma < 1:
+        raise InvalidInput(f"gamma must lie in [0, 1), got {gamma}")
+    locs, masses = [], []
+    for weight, r, s_next in samples:
+        row = pi.probs[s_next]
+        acts = [(a, float(row[a])) for a in range(row.size) if row[a] > 0]
+        scale = sum(p for _, p in acts)
+        for a, p in acts:
+            dist = table[(s_next, a)]
+            locs.append(r + gamma * dist.locations)
+            masses.append(weight * ((p / scale) * dist.masses))
+    return Atomic._owned(np.concatenate(locs), np.concatenate(masses))
+
+
 def bellman_backup(r: float, s_next: int, table: ReturnTable, pi: Policy, gamma: float) -> Atomic:
     """Single-sample backup: pi-weighted mixture of push-forwards at s_next."""
-    row = pi.probs[s_next]
-    parts = [
-        (float(row[a]), push_forward(table[(s_next, a)], r, gamma))
-        for a in range(row.size)
-        if row[a] > 0
-    ]
-    scale = sum(w for w, _ in parts)
-    parts = [(w / scale, d) for w, d in parts]
-    return mixture(parts)
+    return backup_mixture([(1.0, r, s_next)], table, pi, gamma)
 
 
 def _check_grid(grid: Optional[float]) -> None:
@@ -145,7 +165,7 @@ def _normalized(locs: np.ndarray, masses: np.ndarray) -> Atomic:
     """The atoms of positive mass, their masses rescaled to sum to 1."""
     nz = masses > 0
     masses = masses[nz] / masses[nz].sum()
-    return Atomic(locs[nz], masses)
+    return Atomic._owned(locs[nz], masses)
 
 
 def apply_bellman(
@@ -156,20 +176,57 @@ def apply_bellman(
 ) -> ReturnTable:
     """One exact application of the distributional Bellman operator."""
     out = {}
-    for s, a in mdp.pairs():
-        parts = [
-            (float(prob), bellman_backup(r, s_next, table, pi, mdp.gamma))
-            for prob, r, s_next in mdp.transitions[(s, a)]
-            if prob > 0
-        ]
-        total = sum(w for w, _ in parts)
-        parts = [(w / total, d) for w, d in parts]
-        out[(s, a)] = compact_atoms(mixture(parts), grid=grid)
+    for sa in mdp.pairs():
+        branches = [(float(p), r, s_next) for p, r, s_next in mdp.transitions[sa] if p > 0]
+        total = sum(p for p, _, _ in branches)
+        samples = [(p / total, r, s_next) for p, r, s_next in branches]
+        out[sa] = compact_atoms(backup_mixture(samples, table, pi, mdp.gamma), grid=grid)
     return out
 
 
+def _check_shared_index(table1: ReturnTable, table2: ReturnTable) -> None:
+    if table1.keys() != table2.keys():
+        raise InvalidInput("tables must share the same index set")
+
+
 def sup_w1(table1: ReturnTable, table2: ReturnTable) -> float:
+    """Largest W1 distance between the two tables' laws at a shared index."""
+    _check_shared_index(table1, table2)
     return max(wasserstein_1d(1.0, table1[k], table2[k]) for k in table1)
+
+
+def _lattice_index(dist: Atomic, grid: float) -> np.ndarray:
+    """The integer k of each atom at k * grid; an atom elsewhere is an error."""
+    k = np.rint(dist.locations / grid)
+    if not np.array_equal(k * grid, dist.locations):
+        raise InvalidInput(f"atoms lie off the lattice of grid {grid}")
+    return k.astype(np.intp)
+
+
+def _lattice_sup_w1(table1: ReturnTable, table2: ReturnTable, grid: float) -> float:
+    """sup_w1 of two tables whose atoms all lie on the lattice grid * Z.
+
+    On the lattice W1 is grid times the summed |CDF difference| over the
+    indices, so a pair costs two bincounts and one cumsum.  A pair whose
+    index window is wider than twice its atom count takes wasserstein_1d,
+    so a fine grid over a wide support allocates no dense window.
+    """
+    _check_shared_index(table1, table2)
+    worst = 0.0
+    for sa, dist1 in table1.items():
+        dist2 = table2[sa]
+        k1, k2 = _lattice_index(dist1, grid), _lattice_index(dist2, grid)
+        lo = min(k1.min(), k2.min())
+        width = max(k1.max(), k2.max()) - lo + 1
+        if width > 2 * (k1.size + k2.size):
+            w1 = wasserstein_1d(1.0, dist1, dist2)
+        else:
+            pmf_gap = np.bincount(k1 - lo, dist1.masses, width) - np.bincount(
+                k2 - lo, dist2.masses, width
+            )
+            w1 = grid * float(np.abs(np.cumsum(pmf_gap)).sum())
+        worst = max(worst, w1)
+    return worst
 
 
 def solve_return_fixed_point(
@@ -183,7 +240,9 @@ def solve_return_fixed_point(
 
     Stops when the supremum-W1 change drops below tol.  When no explicit
     grid is given, a projection grid of 1e-4 times the return range is used
-    to keep atom counts bounded.
+    to keep atom counts bounded.  Every projected table lies on that grid's
+    lattice, so the change is measured there; only a zero return range,
+    which leaves no grid, measures it by sorted quantiles.
     """
     if tol <= 0:
         raise InvalidInput("tol must be positive")
@@ -198,7 +257,7 @@ def solve_return_fixed_point(
     residual = np.inf
     for _ in range(max_iters):
         nxt = apply_bellman(table, mdp, pi, grid=grid)
-        residual = sup_w1(nxt, table)
+        residual = sup_w1(nxt, table) if grid is None else _lattice_sup_w1(nxt, table, grid)
         table = nxt
         if residual <= tol:
             return table

@@ -57,8 +57,18 @@ class Atomic:
     masses: np.ndarray
 
     def __post_init__(self):
-        locs = np.array(self.locations, dtype=float)
-        masses = np.array(self.masses, dtype=float)
+        self._adopt(np.array(self.locations, dtype=float), np.array(self.masses, dtype=float))
+
+    @classmethod
+    def _owned(cls, locs: np.ndarray, masses: np.ndarray) -> "Atomic":
+        """An Atomic that takes float arrays no caller will write to again,
+        without copying them: the public constructor's checks, then both
+        arrays are made read-only in place."""
+        dist = object.__new__(cls)
+        dist._adopt(np.asarray(locs, dtype=float), np.asarray(masses, dtype=float))
+        return dist
+
+    def _adopt(self, locs: np.ndarray, masses: np.ndarray) -> None:
         if locs.ndim != 1 or locs.shape != masses.shape:
             raise InvalidInput("locations and masses must be 1-D arrays of equal length")
         if masses.size == 0:
@@ -79,7 +89,7 @@ def push_forward(dist: Atomic, r: float, gamma: float) -> Atomic:
     """Law of r + gamma * X for X ~ dist."""
     if not 0 <= gamma < 1:
         raise InvalidInput(f"gamma must lie in [0, 1), got {gamma}")
-    return Atomic(r + gamma * dist.locations, dist.masses)
+    return Atomic._owned(r + gamma * dist.locations, dist.masses)
 
 
 def mixture(parts) -> Atomic:
@@ -95,4 +105,4 @@ def mixture(parts) -> Atomic:
         raise InvalidInput("mixture parts must be atomic measures")
     locs = np.concatenate([d.locations for _, d in parts])
     masses = np.concatenate([w * d.masses for w, d in parts])
-    return Atomic(locs, masses)
+    return Atomic._owned(locs, masses)

@@ -19,8 +19,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .bellman import Policy, bellman_backup, compact_atoms, solve_return_fixed_point, zero_table
-from .distributions import mixture
+from .bellman import Policy, backup_mixture, compact_atoms, solve_return_fixed_point, zero_table
 from .divergences import FDE_METHODS, DivergenceSpec
 from .envs import (
     LQREnv,
@@ -188,8 +187,8 @@ def _tabular_fde(data, mdp, pi, t_count):
             by_pair.setdefault((int(s), int(a)), []).append((float(r), int(sp)))
         for sa, obs in by_pair.items():
             w = 1.0 / len(obs)
-            parts = [(w, bellman_backup(r, sp, table, pi, mdp.gamma)) for r, sp in obs]
-            fitted[sa] = compact_atoms(mixture(parts), grid=_TABULAR_FIT_GRID)
+            backups = backup_mixture([(w, r, sp) for r, sp in obs], table, pi, mdp.gamma)
+            fitted[sa] = compact_atoms(backups, grid=_TABULAR_FIT_GRID)
         table = fitted
     return table
 

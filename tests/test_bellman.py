@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fdeval.bellman import (
     Policy,
     TabularMDP,
+    _lattice_sup_w1,
     apply_bellman,
     bellman_backup,
     compact_atoms,
@@ -15,7 +16,7 @@ from fdeval.bellman import (
     sup_w1,
     zero_table,
 )
-from fdeval.distributions import Atomic
+from fdeval.distributions import Atomic, mixture, push_forward
 from fdeval.errors import InvalidInput, NonConvergence
 from fdeval.metrics import wasserstein_1d
 
@@ -59,6 +60,12 @@ def test_backup_single_sample():
     table = {(0, 0): Atomic([10.0], [1.0])}
     out = bellman_backup(0.5, 0, table, pi, 0.9)
     np.testing.assert_allclose(out.locations, [0.5 + 0.9 * 10.0])
+
+
+def test_backup_rejects_returns_that_overflow():
+    table = {(0, 0): Atomic([1e308], [1.0])}
+    with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="finite"):
+        bellman_backup(1e308, 0, table, Policy.uniform(1, 1), 0.99)
 
 
 def test_compact_atoms_preserves_mean():
@@ -267,11 +274,186 @@ def test_fixed_point_nonconvergence_raises():
 
 
 def test_sup_w1_symmetry_and_zero():
-    mdp = single_loop_mdp()
     t1 = {(0, 0): Atomic([0.0, 1.0], [0.5, 0.5])}
     t2 = {(0, 0): Atomic([2.0], [1.0])}
     assert sup_w1(t1, t1) == 0.0
     assert sup_w1(t1, t2) == pytest.approx(sup_w1(t2, t1))
+
+
+@pytest.mark.parametrize("residual", [sup_w1, lambda t1, t2: _lattice_sup_w1(t1, t2, 0.5)])
+def test_table_distances_reject_mismatched_index_sets(residual):
+    # sup_w1 used to read table1's keys only: a differing extra pair in the
+    # second table gave 0.0, and the swapped call a bare KeyError
+    t1 = {(0, 0): Atomic([0.0], [1.0])}
+    t2 = {(0, 0): Atomic([0.0], [1.0]), (1, 0): Atomic([5.0], [1.0])}
+    for first, second in ((t1, t2), (t2, t1)):
+        with pytest.raises(InvalidInput, match="index set"):
+            residual(first, second)
+
+
+# --- the one-pass backup against the composed backup it replaced -----------
+
+
+def _bellman_backup_composed(r, s_next, table, pi, gamma):
+    """Reference for one backup: a mixture over actions of push-forwards."""
+    row = pi.probs[s_next]
+    parts = [
+        (float(row[a]), push_forward(table[(s_next, a)], r, gamma))
+        for a in range(row.size)
+        if row[a] > 0
+    ]
+    scale = sum(w for w, _ in parts)
+    return mixture([(w / scale, d) for w, d in parts])
+
+
+def _apply_bellman_composed(table, mdp, pi, grid=None):
+    """Reference for apply_bellman: per (s, a), a mixture over branches of
+    single-sample backups, then compaction."""
+    out = {}
+    for s, a in mdp.pairs():
+        parts = [
+            (float(prob), _bellman_backup_composed(r, s_next, table, pi, mdp.gamma))
+            for prob, r, s_next in mdp.transitions[(s, a)]
+            if prob > 0
+        ]
+        total = sum(w for w, _ in parts)
+        out[(s, a)] = compact_atoms(mixture([(w / total, d) for w, d in parts]), grid=grid)
+    return out
+
+
+def _tabular_fde_composed(data, mdp, pi, t_count):
+    """Reference for harness._tabular_fde: the empirical mixture of each
+    covered pair's composed sample backups."""
+    from fdeval.fde import split_dataset
+    from fdeval.harness import _TABULAR_FIT_GRID
+
+    table = zero_table(mdp)
+    for fold in split_dataset(data, t_count):
+        fitted = dict(table)
+        by_pair = {}
+        for s, a, r, sp in zip(fold.states, fold.actions, fold.rewards, fold.next_states):
+            by_pair.setdefault((int(s), int(a)), []).append((float(r), int(sp)))
+        for sa, obs in by_pair.items():
+            w = 1.0 / len(obs)
+            parts = [(w, _bellman_backup_composed(r, sp, table, pi, mdp.gamma)) for r, sp in obs]
+            fitted[sa] = compact_atoms(mixture(parts), grid=_TABULAR_FIT_GRID)
+        table = fitted
+    return table
+
+
+def _assert_tables_bitwise_equal(table, ref):
+    assert table.keys() == ref.keys()
+    for sa in ref:
+        assert table[sa].locations.tobytes() == ref[sa].locations.tobytes()
+        assert table[sa].masses.tobytes() == ref[sa].masses.tobytes()
+
+
+def _probability_row(draw, size):
+    """A probability vector from small integer weights; zeros included."""
+    weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    assume(sum(weights) > 0)
+    return [w / sum(weights) for w in weights]
+
+
+@st.composite
+def _random_mdp_and_table(draw):
+    n_states, n_actions = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    gamma = draw(st.sampled_from((0.0, 0.5, 0.9)))
+    transitions = {}
+    for s in range(n_states):
+        for a in range(n_actions):
+            n_branches = draw(st.integers(1, 3))
+            probs = _probability_row(draw, n_branches)
+            transitions[(s, a)] = tuple(
+                (p, draw(st.floats(-2.0, 2.0)), draw(st.integers(0, n_states - 1)))
+                for p in probs
+            )
+    mdp = TabularMDP(n_states, n_actions, transitions, gamma)
+    pi = Policy(np.array([_probability_row(draw, n_actions) for _ in range(n_states)]))
+    table = {}
+    for sa in mdp.pairs():
+        k = draw(st.integers(1, 4))
+        locs = draw(st.lists(st.floats(-5.0, 5.0), min_size=k, max_size=k))
+        table[sa] = Atomic(locs, _probability_row(draw, k))
+    return mdp, pi, table
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_random_mdp_and_table(), grid=st.sampled_from((None, 0.25, 1e-3)))
+def test_apply_bellman_matches_the_composed_backup_bitwise(case, grid):
+    mdp, pi, table = case
+    for _ in range(2):  # the second step starts from compacted supports
+        ref = _apply_bellman_composed(table, mdp, pi, grid=grid)
+        out = apply_bellman(table, mdp, pi, grid=grid)
+        _assert_tables_bitwise_equal(out, ref)
+        table = out
+
+
+def test_bellman_backup_matches_the_composed_backup_bitwise():
+    table = {(0, 0): Atomic([0.1, 2.0], [0.3, 0.7]), (0, 1): Atomic([-1.0], [1.0])}
+    pi = Policy(np.array([[1.0 / 3.0, 2.0 / 3.0]]))
+    out = bellman_backup(0.7, 0, table, pi, 0.9)
+    ref = _bellman_backup_composed(0.7, 0, table, pi, 0.9)
+    assert out.locations.tobytes() == ref.locations.tobytes()
+    assert out.masses.tobytes() == ref.masses.tobytes()
+
+
+def test_tabular_fold_fit_matches_the_composed_backup_bitwise():
+    from fdeval.envs import tabular_collect, tabular_make_random
+    from fdeval.fde import choose_t
+    from fdeval.harness import _tabular_fde
+
+    rng = np.random.default_rng(5)
+    mdp = tabular_make_random(2, 2, 2, rng, gamma=0.9)
+    pi = Policy(np.array([[0.3, 0.7], [1.0, 0.0]]))
+    data = tabular_collect(mdp, Policy.uniform(2, 2), 300, rng)
+    t_count = choose_t(300, mdp.gamma)
+    _assert_tables_bitwise_equal(
+        _tabular_fde(data, mdp, pi, t_count), _tabular_fde_composed(data, mdp, pi, t_count)
+    )
+
+
+# --- the lattice residual against the sorted-quantile sup_w1 ---------------
+
+
+@st.composite
+def _lattice_table_pair(draw):
+    """Two tables over one index set, every atom at k * grid; negative k
+    included, and wide index windows as well as dense ones."""
+    grid = draw(st.sampled_from((0.25, 1e-3, 0.1, 3.0)))
+    reach = draw(st.sampled_from((3, 40, 10**6)))
+    pairs = [(s, 0) for s in range(draw(st.integers(1, 3)))]
+    tables = []
+    for _ in range(2):
+        table = {}
+        for sa in pairs:
+            k = draw(st.lists(st.integers(-reach, reach), min_size=1, max_size=8, unique=True))
+            table[sa] = Atomic(np.array(k) * grid, _probability_row(draw, len(k)))
+        tables.append(table)
+    return tables[0], tables[1], grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_lattice_table_pair())
+@example(case=({(0, 0): Atomic([0.0], [1.0])}, {(0, 0): Atomic([0.0], [1.0])}, 0.25))
+@example(case=(
+    {(0, 0): Atomic([-0.5, 0.25], [0.5, 0.5])}, {(0, 0): Atomic([-0.25, 0.5], [0.25, 0.75])}, 0.25
+))
+def test_lattice_residual_matches_sup_w1(case):
+    table1, table2, grid = case
+    expected = sup_w1(table1, table2)
+    assert _lattice_sup_w1(table1, table2, grid) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert _lattice_sup_w1(table2, table1, grid) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("loc", [0.375, np.nextafter(0.5, 1.0)])
+def test_lattice_residual_rejects_atoms_off_the_lattice(loc):
+    on = {(0, 0): Atomic([0.25, 0.5], [0.5, 0.5])}
+    off = {(0, 0): Atomic([0.25, loc], [0.5, 0.5])}
+    with pytest.raises(InvalidInput, match="lattice"):
+        _lattice_sup_w1(on, off, 0.25)
+    with pytest.raises(InvalidInput, match="lattice"):
+        _lattice_sup_w1(off, on, 0.25)
 
 
 def test_stochastic_fixed_point_distribution():

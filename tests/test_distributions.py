@@ -35,6 +35,36 @@ def test_atomic_is_a_1d_measure():
         mixture([(1.0, GaussianMixture1D(((1.0, 0.0, 1.0),)))])
 
 
+def test_public_constructor_copies_and_freezes_both_arrays():
+    locs, masses = np.array([2.0, -1.0]), np.array([0.25, 0.75])
+    a = Atomic(locs, masses)
+    locs[:] = 7.0
+    masses[:] = 0.5
+    np.testing.assert_array_equal(a.locations, [2.0, -1.0])
+    np.testing.assert_array_equal(a.masses, [0.25, 0.75])
+    for stored in (a.locations, a.masses):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 1.0
+
+
+def test_owned_constructor_adopts_the_arrays_read_only():
+    locs, masses = np.array([2.0, -1.0]), np.array([0.25, 0.75])
+    a = Atomic._owned(locs, masses)
+    assert a.locations is locs and a.masses is masses
+    assert not locs.flags.writeable and not masses.flags.writeable
+
+
+def test_owned_constructor_keeps_every_check():
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        Atomic._owned(np.array([0.0, 1.0]), np.array([1.5, -0.5]))
+    with pytest.raises(InvalidInput, match="sum to"):
+        Atomic._owned(np.array([0.0, 1.0]), np.array([0.5, 0.6]))
+    with pytest.raises(InvalidInput, match="equal length"):
+        Atomic._owned(np.array([0.0, 1.0]), np.array([1.0]))
+    with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="finite"):
+        push_forward(Atomic([1e308], [1.0]), 1e308, 0.99)  # r + gamma * x overflows to inf
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_atomic_rejects_non_finite_locations(bad):
     # a NaN atom used to pass, and grid compaction then dropped its mass

@@ -19,6 +19,8 @@ LQR_SEED_3_N_300 = {
     "rbf": 4.4215913567806755,
 }
 TABULAR_2X1_SEED_3_N_300 = 6.827727556358773
+# two actions, so the policy's mixing order reaches the score
+TABULAR_2X2_GAMMA_05_SEED_3_N_300 = 0.8383285999587875
 
 
 def test_lqr_sweep_inaccuracy_is_pinned():
@@ -34,3 +36,12 @@ def test_tabular_cell_inaccuracy_is_pinned():
     ))
     assert not report.failed
     assert report.inaccuracy == pytest.approx(TABULAR_2X1_SEED_3_N_300, rel=1e-12)
+
+
+def test_multi_action_tabular_cell_inaccuracy_is_pinned():
+    (report,) = run_experiment(ExperimentConfig(
+        experiment="tabular", methods=("energy",), n_list=(300,), reps=1,
+        tabular_states=2, tabular_actions=2, tabular_gamma=0.5, master_seed=3,
+    ))
+    assert not report.failed
+    assert report.inaccuracy == pytest.approx(TABULAR_2X2_GAMMA_05_SEED_3_N_300, rel=1e-12)
