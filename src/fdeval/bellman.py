@@ -5,9 +5,10 @@ The operator is exact on finite supports and merges duplicate atoms;
 because supports grow multiplicatively, an optional grid projection keeps
 long runs tractable.  Each backup is built in one pass: ``backup_mixture``
 concatenates the shifted, scaled atoms of every (sample, action) term into
-one Atomic, which compaction then merges.  The fixed-point solve measures
-its per-step change on the projection lattice, where W1 is the grid step
-times the summed |CDF difference|.
+one Atomic, which compaction then merges.  The fixed-point solve projects
+onto a lattice derived from the MDP (the categorical projection of Rowland
+et al. 2018) and measures its per-step change there, where W1 is the grid
+step times the summed |CDF difference|.
 """
 
 from __future__ import annotations
@@ -19,9 +20,14 @@ import numpy as np
 
 from .distributions import Atomic
 from .errors import InvalidInput, NonConvergence
-from .metrics import wasserstein_1d
 
 _PROB_TOL = 1e-12
+
+
+def _is_state_index(s, n_states: int) -> bool:
+    """An integer in range(n_states); a float or bool equal to one is not."""
+    integral = isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+    return integral and 0 <= s < n_states
 
 
 @dataclass(frozen=True)
@@ -41,9 +47,13 @@ class TabularMDP:
                 branches = self.transitions.get((s, a))
                 if not branches:
                     raise InvalidInput(f"missing transition row for {(s, a)}")
-                probs = np.array([b[0] for b in branches])
-                if np.any(probs < 0) or abs(probs.sum() - 1.0) > _PROB_TOL:
+                probs = np.array([b[0] for b in branches], dtype=float)
+                if not (probs >= 0).all() or not abs(probs.sum() - 1.0) <= _PROB_TOL:
                     raise InvalidInput(f"transition probs for {(s, a)} do not sum to 1")
+                if not np.isfinite([b[1] for b in branches]).all():
+                    raise InvalidInput(f"rewards for {(s, a)} must be finite")
+                if not all(_is_state_index(b[2], self.n_states) for b in branches):
+                    raise InvalidInput(f"next states for {(s, a)} must be state indices")
 
     def pairs(self):
         return [(s, a) for s in range(self.n_states) for a in range(self.n_actions)]
@@ -59,7 +69,7 @@ class Policy:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2:
             raise InvalidInput("policy table must be 2-dimensional")
-        if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > _PROB_TOL):
+        if not (probs >= 0).all() or not (np.abs(probs.sum(axis=1) - 1.0) <= _PROB_TOL).all():
             raise InvalidInput("policy rows must be probability vectors")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -76,6 +86,12 @@ class Policy:
 
 
 ReturnTable = dict  # (s, a) -> Atomic
+
+
+def _check_policy(mdp: TabularMDP, pi: Policy) -> None:
+    shape = (mdp.n_states, mdp.n_actions)
+    if pi.probs.shape != shape:
+        raise InvalidInput(f"policy table has shape {pi.probs.shape}, the MDP needs {shape}")
 
 
 def zero_table(mdp: TabularMDP) -> ReturnTable:
@@ -111,11 +127,6 @@ def bellman_backup(r: float, s_next: int, table: ReturnTable, pi: Policy, gamma:
     return backup_mixture([(1.0, r, s_next)], table, pi, gamma)
 
 
-def _check_grid(grid: Optional[float]) -> None:
-    if grid is not None and not 0 < grid < np.inf:  # NaN included
-        raise InvalidInput(f"grid must be None or a finite number > 0, got {grid}")
-
-
 def compact_atoms(dist: Atomic, grid: Optional[float] = None) -> Atomic:
     """Merge duplicate atoms; optionally project onto a uniform grid first.
 
@@ -127,7 +138,8 @@ def compact_atoms(dist: Atomic, grid: Optional[float] = None) -> Atomic:
     point's masses in the same order and give the same floats, except that
     a -0.0 location reads back as 0.0 from the lattice.
     """
-    _check_grid(grid)
+    if grid is not None and not 0 < grid < np.inf:  # NaN included
+        raise InvalidInput(f"grid must be None or a finite number > 0, got {grid}")
     locs = dist.locations
     masses = dist.masses
     if grid is not None:
@@ -175,6 +187,7 @@ def apply_bellman(
     grid: Optional[float] = None,
 ) -> ReturnTable:
     """One exact application of the distributional Bellman operator."""
+    _check_policy(mdp, pi)
     out = {}
     for sa in mdp.pairs():
         branches = [(float(p), r, s_next) for p, r, s_next in mdp.transitions[sa] if p > 0]
@@ -182,17 +195,6 @@ def apply_bellman(
         samples = [(p / total, r, s_next) for p, r, s_next in branches]
         out[sa] = compact_atoms(backup_mixture(samples, table, pi, mdp.gamma), grid=grid)
     return out
-
-
-def _check_shared_index(table1: ReturnTable, table2: ReturnTable) -> None:
-    if table1.keys() != table2.keys():
-        raise InvalidInput("tables must share the same index set")
-
-
-def sup_w1(table1: ReturnTable, table2: ReturnTable) -> float:
-    """Largest W1 distance between the two tables' laws at a shared index."""
-    _check_shared_index(table1, table2)
-    return max(wasserstein_1d(1.0, table1[k], table2[k]) for k in table1)
 
 
 def _lattice_index(dist: Atomic, grid: float) -> np.ndarray:
@@ -204,28 +206,29 @@ def _lattice_index(dist: Atomic, grid: float) -> np.ndarray:
 
 
 def _lattice_sup_w1(table1: ReturnTable, table2: ReturnTable, grid: float) -> float:
-    """sup_w1 of two tables whose atoms all lie on the lattice grid * Z.
+    """Largest W1 distance between the two tables' laws at a shared index,
+    for tables whose atoms all lie on the lattice grid * Z.
 
     On the lattice W1 is grid times the summed |CDF difference| over the
-    indices, so a pair costs two bincounts and one cumsum.  A pair whose
-    index window is wider than twice its atom count takes wasserstein_1d,
-    so a fine grid over a wide support allocates no dense window.
+    indices, so a pair costs two bincounts and one cumsum over its index
+    window.  The window stays small at the fixed-point solve's grid of
+    1e-4 times the return span: returns lie within 1e4 steps, and
+    projection pushes the support out by less than 1 / (1 - gamma) steps
+    on each side, so a window holds at most about 1e4 + 2 / (1 - gamma) + 2
+    bins.
     """
-    _check_shared_index(table1, table2)
+    if table1.keys() != table2.keys():
+        raise InvalidInput("tables must share the same index set")
     worst = 0.0
     for sa, dist1 in table1.items():
         dist2 = table2[sa]
         k1, k2 = _lattice_index(dist1, grid), _lattice_index(dist2, grid)
         lo = min(k1.min(), k2.min())
         width = max(k1.max(), k2.max()) - lo + 1
-        if width > 2 * (k1.size + k2.size):
-            w1 = wasserstein_1d(1.0, dist1, dist2)
-        else:
-            pmf_gap = np.bincount(k1 - lo, dist1.masses, width) - np.bincount(
-                k2 - lo, dist2.masses, width
-            )
-            w1 = grid * float(np.abs(np.cumsum(pmf_gap)).sum())
-        worst = max(worst, w1)
+        pmf_gap = np.bincount(k1 - lo, dist1.masses, width) - np.bincount(
+            k2 - lo, dist2.masses, width
+        )
+        worst = max(worst, grid * float(np.abs(np.cumsum(pmf_gap)).sum()))
     return worst
 
 
@@ -234,30 +237,24 @@ def solve_return_fixed_point(
     pi: Policy,
     tol: float = 1e-8,
     max_iters: int = 10_000,
-    grid: Optional[float] = None,
 ) -> ReturnTable:
     """Iterate the Bellman operator from the zero table to its fixed point.
 
-    Stops when the supremum-W1 change drops below tol.  When no explicit
-    grid is given, a projection grid of 1e-4 times the return range is used
-    to keep atom counts bounded.  Every projected table lies on that grid's
-    lattice, so the change is measured there; only a zero return range,
-    which leaves no grid, measures it by sorted quantiles.
+    Every step projects onto the lattice of grid 1e-4 times the return span
+    2 * max|r| / (1 - gamma), which keeps atom counts bounded, and stops
+    when the supremum-W1 change, measured on that lattice, drops below tol.
+    When every reward is 0 all atoms sit at 0, which a unit grid holds.
     """
-    if tol <= 0:
-        raise InvalidInput("tol must be positive")
-    _check_grid(grid)
-    if grid is None:
-        rmax = max(
-            abs(r) for branches in mdp.transitions.values() for _, r, _ in branches
-        )
-        span = 2.0 * rmax / (1.0 - mdp.gamma)
-        grid = 1e-4 * span if span > 0 else None
+    if not tol > 0:  # NaN included
+        raise InvalidInput(f"tol must be positive, got {tol}")
+    rmax = max(abs(r) for branches in mdp.transitions.values() for _, r, _ in branches)
+    span = 2.0 * rmax / (1.0 - mdp.gamma)
+    grid = 1e-4 * span if span > 0 else 1.0
     table = zero_table(mdp)
     residual = np.inf
     for _ in range(max_iters):
         nxt = apply_bellman(table, mdp, pi, grid=grid)
-        residual = sup_w1(nxt, table) if grid is None else _lattice_sup_w1(nxt, table, grid)
+        residual = _lattice_sup_w1(nxt, table, grid)
         table = nxt
         if residual <= tol:
             return table

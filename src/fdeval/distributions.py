@@ -29,12 +29,14 @@ class GaussianMixture1D:
         if not comps:
             raise InvalidInput("mixture needs at least one component")
         weights = np.array([c[0] for c in comps])
-        if np.any(weights < 0):
+        if not (weights >= 0).all():
             raise InvalidInput("mixture weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > _MASS_TOL:
+        if not abs(weights.sum() - 1.0) <= _MASS_TOL:
             raise InvalidInput(f"mixture weights sum to {weights.sum()}, not 1")
-        if any(c[2] <= 0 for c in comps):
-            raise InvalidInput("every component variance must be positive")
+        if not all(np.isfinite(c[1]) for c in comps):
+            raise InvalidInput("every component mean must be finite")
+        if not all(0 < c[2] < np.inf for c in comps):  # NaN included
+            raise InvalidInput("every component variance must be positive and finite")
 
     @property
     def weights(self) -> np.ndarray:
@@ -75,9 +77,9 @@ class Atomic:
             raise InvalidInput("atomic measure needs at least one atom")
         if not np.isfinite(locs).all():
             raise InvalidInput("atom locations must be finite")
-        if np.any(masses < 0):
+        if not (masses >= 0).all():
             raise InvalidInput("atom masses must be nonnegative")
-        if abs(masses.sum() - 1.0) > _MASS_TOL:
+        if not abs(masses.sum() - 1.0) <= _MASS_TOL:
             raise InvalidInput(f"atom masses sum to {masses.sum()}, not 1")
         locs.setflags(write=False)
         masses.setflags(write=False)
@@ -99,7 +101,7 @@ def mixture(parts) -> Atomic:
     if not parts:
         raise InvalidInput("mixture of zero parts")
     weights = np.array([w for w, _ in parts], dtype=float)
-    if abs(weights.sum() - 1.0) > _MASS_TOL:
+    if not abs(weights.sum() - 1.0) <= _MASS_TOL:
         raise InvalidInput(f"mixture weights sum to {weights.sum()}, not 1")
     if not all(isinstance(d, Atomic) for _, d in parts):
         raise InvalidInput("mixture parts must be atomic measures")

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bellman import Policy, TabularMDP
+from .bellman import Policy, TabularMDP, _check_policy
 from .errors import InvalidInput, NonConvergence
 
 ROTATION_ANGLES = tuple(2.0 * np.pi * k / 5.0 for k in range(5))
@@ -293,6 +293,7 @@ def tabular_collect(
     """Transitions with (s, a) ~ uniform states x behavior, then the MDP row."""
     if n < 1:
         raise InvalidInput("n must be >= 1")
+    _check_policy(mdp, behavior)
     states = rng.integers(0, mdp.n_states, size=n)
     behavior_cdf = _choice_cdf(behavior.probs)
     actions = np.array(
@@ -319,6 +320,8 @@ def estimate_dpi_tabular(
     """
     if n_points < 1:
         raise InvalidInput("n_points must be >= 1")
+    _check_policy(mdp, behavior)
+    _check_policy(mdp, pi)
     behavior_cdf = _choice_cdf(behavior.probs)
     pi_cdf = _choice_cdf(pi.probs)
     branch_cdf = {sa: _choice_cdf([b[0] for b in row]) for sa, row in mdp.transitions.items()}

@@ -17,6 +17,8 @@ from .distributions import Atomic, mixture, push_forward
 from .divergences import energy_mmd2_atomic
 from .errors import InvalidInput
 
+_SLC_TOL = 1e-9  # slack for floating-point rounding in the S-L-C inequalities
+
 
 @dataclass(frozen=True)
 class MetricSpec:
@@ -157,7 +159,6 @@ def slc_property_check(
     trials: int,
     rng: np.random.Generator,
     c_override: Optional[float] = None,
-    tol: float = 1e-9,
 ) -> dict:
     """Randomized check of scale-sensitivity, location-insensitivity, q-convexity.
 
@@ -175,13 +176,13 @@ def slc_property_check(
         base = metric.evaluate(x, y)
         gamma = rng.uniform(0.05, 0.95)
         scaled = metric.evaluate(_scale(x, gamma), _scale(y, gamma))
-        if scaled > gamma**c * base + tol:
+        if scaled > gamma**c * base + _SLC_TOL:
             violations.append(
                 {"trial": trial, "property": "scale", "lhs": scaled, "rhs": gamma**c * base}
             )
         z = rng.normal(0.0, 3.0)
         shifted = metric.evaluate(_shift(x, z), _shift(y, z))
-        if shifted > base + tol:
+        if shifted > base + _SLC_TOL:
             violations.append(
                 {"trial": trial, "property": "location", "lhs": shifted, "rhs": base}
             )
@@ -193,7 +194,7 @@ def slc_property_check(
         mixed2 = mixture([(lam, y), (1.0 - lam, y2)])
         lhs = metric.evaluate(mixed1, mixed2) ** (2.0 * q)
         rhs = lam * base ** (2.0 * q) + (1.0 - lam) * metric.evaluate(x2, y2) ** (2.0 * q)
-        if lhs > rhs + tol:
+        if lhs > rhs + _SLC_TOL:
             violations.append(
                 {"trial": trial, "property": "convexity", "lhs": lhs, "rhs": rhs}
             )

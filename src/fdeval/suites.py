@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .bellman import Policy, TabularMDP, apply_bellman, sup_w1, zero_table
+from .bellman import Policy, TabularMDP, apply_bellman, zero_table
 from .distributions import Atomic, GaussianMixture1D
 from .divergences import (
     FDE_METHODS,
@@ -28,22 +28,23 @@ from .fde import split_dataset
 from .metrics import (
     ExtensionSpec,
     MetricSpec,
+    _random_atomic,
     contraction_factor,
     metric_extension,
     slc_property_check,
     wasserstein_1d,
 )
 
-
-def _random_table(mdp: TabularMDP, rng: np.random.Generator, max_atoms: int = 4) -> dict:
-    table = {}
-    for sa in mdp.pairs():
-        k = int(rng.integers(1, max_atoms + 1))
-        table[sa] = Atomic(rng.normal(0.0, 2.0, size=k), rng.dirichlet(np.ones(k)))
-    return table
+# slack for floating-point rounding in the suites' inequality checks
+_TOL = 1e-9
+_TELESCOPING_TOL = 1e-6
 
 
-def contraction_suite(seed: int, trials: int = 100, tol: float = 1e-9) -> dict:
+def _random_table(mdp: TabularMDP, rng: np.random.Generator) -> dict:
+    return {sa: _random_atomic(rng, 4) for sa in mdp.pairs()}
+
+
+def contraction_suite(seed: int, trials: int = 100) -> dict:
     """Exact one-step Bellman contraction under both table extensions.
 
     Supremum extension: random multi-state MDPs, factor gamma.  Expectation
@@ -51,43 +52,31 @@ def contraction_suite(seed: int, trials: int = 100, tol: float = 1e-9) -> dict:
     MDPs whose sampling law equals the policy, so the occupancy is the policy
     itself and the factor gamma^(1 - 1/(2p)) applies exactly.
     """
+    def expectation(p: float, pi: Policy) -> ExtensionSpec:
+        weights = {sa: float(w) for sa, w in np.ndenumerate(pi.probs)}
+        return ExtensionSpec("expectation", q=p, weights=weights)
+
+    cases = ((2, 2, lambda p, pi: ExtensionSpec("supremum")), (1, 3, expectation))
     rng = np.random.default_rng(seed)
     violations = []
     for trial in range(trials):
         gamma = float(rng.uniform(0.3, 0.95))
-
-        mdp = tabular_make_random(2, 2, 2, rng, gamma=gamma)
-        pi = Policy(rng.dirichlet(np.ones(2), size=2))
-        u1, u2 = _random_table(mdp, rng), _random_table(mdp, rng)
-        tu1, tu2 = apply_bellman(u1, mdp, pi), apply_bellman(u2, mdp, pi)
-        for p in (1.0, 2.0):
-            metric = MetricSpec("wasserstein", p=p)
-            ext = ExtensionSpec("supremum")
-            before = metric_extension(metric, ext, u1, u2)
-            after = metric_extension(metric, ext, tu1, tu2)
-            bound = contraction_factor(metric, ext, gamma) * before
-            if after > bound + tol:
-                violations.append(
-                    {"trial": trial, "extension": "supremum", "p": p,
-                     "after": after, "bound": bound}
-                )
-
-        loop = tabular_make_random(1, 3, 2, rng, gamma=gamma)
-        pi_loop = Policy(rng.dirichlet(np.ones(3), size=1))
-        weights = {(0, a): float(pi_loop.probs[0, a]) for a in range(3)}
-        v1, v2 = _random_table(loop, rng), _random_table(loop, rng)
-        tv1, tv2 = apply_bellman(v1, loop, pi_loop), apply_bellman(v2, loop, pi_loop)
-        for p in (1.0, 2.0):
-            metric = MetricSpec("wasserstein", p=p)
-            ext = ExtensionSpec("expectation", q=p, weights=weights)
-            before = metric_extension(metric, ext, v1, v2)
-            after = metric_extension(metric, ext, tv1, tv2)
-            bound = contraction_factor(metric, ext, gamma) * before
-            if after > bound + tol:
-                violations.append(
-                    {"trial": trial, "extension": "expectation", "p": p,
-                     "after": after, "bound": bound}
-                )
+        for n_states, n_actions, extension in cases:
+            mdp = tabular_make_random(n_states, n_actions, 2, rng, gamma=gamma)
+            pi = Policy(rng.dirichlet(np.ones(n_actions), size=n_states))
+            u1, u2 = _random_table(mdp, rng), _random_table(mdp, rng)
+            tu1, tu2 = apply_bellman(u1, mdp, pi), apply_bellman(u2, mdp, pi)
+            for p in (1.0, 2.0):
+                metric = MetricSpec("wasserstein", p=p)
+                ext = extension(p, pi)
+                before = metric_extension(metric, ext, u1, u2)
+                after = metric_extension(metric, ext, tu1, tu2)
+                bound = contraction_factor(metric, ext, gamma) * before
+                if after > bound + _TOL:
+                    violations.append(
+                        {"trial": trial, "extension": ext.mode, "p": p,
+                         "after": after, "bound": bound}
+                    )
     return {"suite": "contraction", "trials": trials, "violations": violations,
             "passed": not violations}
 
@@ -276,7 +265,7 @@ def closed_forms_suite(seed: int, pairs: int = 100, mc_n: int = 1_000_000) -> di
             "passed": not violations}
 
 
-def sandwich_suite(seed: int, trials: int = 500, tol: float = 1e-9) -> dict:
+def sandwich_suite(seed: int, trials: int = 500) -> dict:
     """Energy-distance sandwich on bounded supports.
 
     For atoms inside [a, b]: E <= 2 W_1 <= 2 W_p and
@@ -297,11 +286,11 @@ def sandwich_suite(seed: int, trials: int = 500, tol: float = 1e-9) -> dict:
         wp = wasserstein_1d(p, d1, d2)
         lower = 2.0 / (hi - lo) ** (2.0 * p - 1.0) * wp ** (2.0 * p)
         record = {"trial": trial, "p": p, "energy": energy, "w1": w1, "wp": wp}
-        if energy > 2.0 * w1 + tol:
+        if energy > 2.0 * w1 + _TOL:
             violations.append(dict(record, check="energy<=2w1"))
-        if w1 > wp + tol:
+        if w1 > wp + _TOL:
             violations.append(dict(record, check="w1<=wp"))
-        if lower > energy + tol:
+        if lower > energy + _TOL:
             violations.append(dict(record, check="lower<=energy", lower=lower))
     return {"suite": "sandwich", "trials": trials, "violations": violations,
             "passed": not violations}
@@ -337,7 +326,7 @@ def _exact_deterministic_returns(mdp: TabularMDP, pi: Policy) -> dict:
     return {sa: Atomic([g[index[sa]]], [1.0]) for sa in pairs}
 
 
-def telescoping_suite(seed: int, runs: int = 20, tol: float = 1e-6) -> dict:
+def telescoping_suite(seed: int, runs: int = 20) -> dict:
     """Error-propagation bound on fold-fitted tabular runs with an exact
     operator oracle.
 
@@ -347,6 +336,7 @@ def telescoping_suite(seed: int, runs: int = 20, tol: float = 1e-6) -> dict:
     per-iteration backup errors for the bound to control).
     """
     rng = np.random.default_rng(seed)
+    w1, sup = MetricSpec("wasserstein"), ExtensionSpec("supremum")
     violations = []
     for run in range(runs):
         mdp, pi = _random_deterministic_mdp(rng)
@@ -362,13 +352,13 @@ def telescoping_suite(seed: int, runs: int = 20, tol: float = 1e-6) -> dict:
             fitted = dict(table)
             for s, a in set(zip(fold.states.tolist(), fold.actions.tolist())):
                 fitted[(s, a)] = exact[(s, a)]
-            step_errors.append(sup_w1(fitted, exact))
+            step_errors.append(metric_extension(w1, sup, fitted, exact))
             table = fitted
-        lhs = sup_w1(table, truth)
+        lhs = metric_extension(w1, sup, table, truth)
         rhs = sum(
             zeta ** (t_count - t) * err for t, err in enumerate(step_errors, start=1)
-        ) + zeta**t_count * sup_w1(zero_table(mdp), truth)
-        if lhs > rhs + tol:
+        ) + zeta**t_count * metric_extension(w1, sup, zero_table(mdp), truth)
+        if lhs > rhs + _TELESCOPING_TOL:
             violations.append({"run": run, "lhs": lhs, "rhs": rhs})
     return {"suite": "telescoping", "trials": runs, "violations": violations,
             "passed": not violations}

@@ -76,7 +76,7 @@ def test_criterion_1_benchmark_sweep(benchmark_sweep):
 
 def test_criterion_2_contraction():
     start = time.perf_counter()
-    report = contraction_suite(seed=0, trials=100, tol=1e-9)
+    report = contraction_suite(seed=0, trials=100)
     elapsed = time.perf_counter() - start
     assert report["passed"], report["violations"][:3]
     assert report["trials"] == 100 and elapsed <= 10
@@ -119,7 +119,7 @@ def test_criterion_4_closed_forms():
 
 def test_criterion_5_sandwich():
     start = time.perf_counter()
-    report = sandwich_suite(seed=0, trials=500, tol=1e-9)
+    report = sandwich_suite(seed=0, trials=500)
     elapsed = time.perf_counter() - start
     assert report["passed"], report["violations"][:3]
     assert report["trials"] == 500 and elapsed <= 10
@@ -131,7 +131,7 @@ def test_criterion_5_sandwich():
 
 def test_criterion_6_telescoping():
     start = time.perf_counter()
-    report = telescoping_suite(seed=0, runs=20, tol=1e-6)
+    report = telescoping_suite(seed=0, runs=20)
     elapsed = time.perf_counter() - start
     assert report["passed"], report["violations"][:3]
     assert report["trials"] == 20 and elapsed <= 60

@@ -13,12 +13,17 @@ from fdeval.bellman import (
     bellman_backup,
     compact_atoms,
     solve_return_fixed_point,
-    sup_w1,
     zero_table,
 )
-from fdeval.distributions import Atomic, mixture, push_forward
+from fdeval.distributions import Atomic, GaussianMixture1D, mixture, push_forward
+from fdeval.envs import estimate_dpi_tabular, tabular_collect, tabular_make_random
 from fdeval.errors import InvalidInput, NonConvergence
-from fdeval.metrics import wasserstein_1d
+from fdeval.metrics import ExtensionSpec, MetricSpec, metric_extension, wasserstein_1d
+
+
+def sup_w1(table1, table2):
+    """Oracle for the lattice residual: the supremum extension of W1."""
+    return metric_extension(MetricSpec("wasserstein"), ExtensionSpec("supremum"), table1, table2)
 
 
 def _mean(dist):
@@ -45,6 +50,57 @@ def test_mdp_validation():
         TabularMDP(1, 1, {}, 0.9)  # missing row
     with pytest.raises(InvalidInput):
         single_loop_mdp(gamma=1.0)
+    # a next state outside the MDP used to pass, and a NaN reward failed
+    # only later, inside a backup, as "atom locations must be finite";
+    # a float or bool equal to a state index is not an index either
+    for s_next in (3, -1, 0.5, np.nan, 0.0, np.float64(0.0), False):
+        with pytest.raises(InvalidInput, match="next states"):
+            TabularMDP(1, 1, {(0, 0): ((1.0, 1.0, s_next),)}, 0.9)
+    for reward in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInput, match="rewards"):
+            single_loop_mdp(reward=reward)
+    TabularMDP(2, 1, {(0, 0): ((1.0, 0.0, np.int64(1)),), (1, 0): ((1.0, 0.0, 0),)}, 0.9)
+
+
+# each of these used to pass its check, since NaN fails every comparison
+@pytest.mark.parametrize("build", [
+    lambda: Atomic([0.0], [np.nan]),
+    lambda: Atomic([0.0, 1.0], [np.nan, 1.0]),
+    lambda: mixture([(np.nan, Atomic([0.0], [1.0]))]),
+    lambda: GaussianMixture1D(((np.nan, 0.0, 1.0),)),
+    lambda: GaussianMixture1D(((1.0, np.nan, 1.0),)),
+    lambda: GaussianMixture1D(((1.0, 0.0, np.nan),)),
+    lambda: GaussianMixture1D(((1.0, 0.0, np.inf),)),
+    lambda: Policy([[np.nan]]),
+    lambda: Policy([[np.nan, 1.0]]),
+    lambda: TabularMDP(1, 1, {(0, 0): ((np.nan, 1.0, 0),)}, 0.9),
+    lambda: TabularMDP(1, 1, {(0, 0): ((np.nan, 1.0, 0), (1.0, 0.0, 0))}, 0.9),
+    lambda: solve_return_fixed_point(single_loop_mdp(), Policy.uniform(1, 1), tol=np.nan),
+])
+def test_probability_checks_reject_nan(build):
+    with pytest.raises(InvalidInput):
+        build()
+
+
+@pytest.mark.parametrize("probs", [
+    [[1.0], [1.0]],  # one action on a two-action MDP: used to give a wrong table
+    [[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]],  # three actions: used to raise KeyError
+    [[0.5, 0.5]],  # one row on a two-state MDP: used to raise IndexError
+])
+def test_policy_shape_must_match_the_mdp(probs):
+    rng = np.random.default_rng(0)
+    mdp = tabular_make_random(2, 2, 2, rng, gamma=0.5)
+    pi, uniform = Policy(probs), Policy.uniform(2, 2)
+    calls = [
+        lambda: apply_bellman(zero_table(mdp), mdp, pi),
+        lambda: solve_return_fixed_point(mdp, pi),
+        lambda: tabular_collect(mdp, pi, 10, rng),
+        lambda: estimate_dpi_tabular(mdp, pi, uniform, 10, rng),
+        lambda: estimate_dpi_tabular(mdp, uniform, pi, 10, rng),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInput, match="policy table has shape"):
+            call()
 
 
 def test_policy_validation():
@@ -201,13 +257,10 @@ def test_grid_must_be_none_or_a_finite_positive_number(grid):
     # then iterated on supports that grew at every step
     with pytest.raises(InvalidInput, match="grid"):
         compact_atoms(Atomic([0.3, 0.7], [0.5, 0.5]), grid=grid)
-    with pytest.raises(InvalidInput, match="grid"):
-        solve_return_fixed_point(single_loop_mdp(), Policy.uniform(1, 1), grid=grid)
 
 
 def test_fixed_point_matches_the_sequential_scan_bitwise(monkeypatch):
     from fdeval import bellman
-    from fdeval.envs import tabular_make_random
 
     mdp = tabular_make_random(2, 2, 2, np.random.default_rng(0), gamma=0.5)
     pi = Policy.uniform(2, 2)
@@ -247,8 +300,6 @@ def test_fixed_point_two_state_cycle():
 def test_bellman_means_follow_value_iteration():
     """The mean of the distributional update equals the scalar Q update."""
     rng = np.random.default_rng(3)
-    from fdeval.envs import tabular_make_random
-
     mdp = tabular_make_random(3, 2, 2, rng, gamma=0.9)
     pi = Policy(rng.dirichlet(np.ones(2), size=3))
     table = zero_table(mdp)
@@ -276,14 +327,15 @@ def test_fixed_point_nonconvergence_raises():
 def test_sup_w1_symmetry_and_zero():
     t1 = {(0, 0): Atomic([0.0, 1.0], [0.5, 0.5])}
     t2 = {(0, 0): Atomic([2.0], [1.0])}
-    assert sup_w1(t1, t1) == 0.0
-    assert sup_w1(t1, t2) == pytest.approx(sup_w1(t2, t1))
+    for residual in (sup_w1, lambda t1, t2: _lattice_sup_w1(t1, t2, 0.5)):
+        assert residual(t1, t1) == 0.0
+        assert residual(t1, t2) == residual(t2, t1) == 1.5
 
 
 @pytest.mark.parametrize("residual", [sup_w1, lambda t1, t2: _lattice_sup_w1(t1, t2, 0.5)])
 def test_table_distances_reject_mismatched_index_sets(residual):
-    # sup_w1 used to read table1's keys only: a differing extra pair in the
-    # second table gave 0.0, and the swapped call a bare KeyError
+    # a residual that read table1's keys only gave 0.0 for a differing extra
+    # pair in the second table, and a bare KeyError for the swapped call
     t1 = {(0, 0): Atomic([0.0], [1.0])}
     t2 = {(0, 0): Atomic([0.0], [1.0]), (1, 0): Atomic([5.0], [1.0])}
     for first, second in ((t1, t2), (t2, t1)):
@@ -399,7 +451,6 @@ def test_bellman_backup_matches_the_composed_backup_bitwise():
 
 
 def test_tabular_fold_fit_matches_the_composed_backup_bitwise():
-    from fdeval.envs import tabular_collect, tabular_make_random
     from fdeval.fde import choose_t
     from fdeval.harness import _tabular_fde
 
@@ -413,13 +464,13 @@ def test_tabular_fold_fit_matches_the_composed_backup_bitwise():
     )
 
 
-# --- the lattice residual against the sorted-quantile sup_w1 ---------------
+# --- the lattice residual against the supremum extension of W1 ------------
 
 
 @st.composite
 def _lattice_table_pair(draw):
     """Two tables over one index set, every atom at k * grid; negative k
-    included, and wide index windows as well as dense ones."""
+    included, and index windows of up to 2e6 + 1 bins around a few atoms."""
     grid = draw(st.sampled_from((0.25, 1e-3, 0.1, 3.0)))
     reach = draw(st.sampled_from((3, 40, 10**6)))
     pairs = [(s, 0) for s in range(draw(st.integers(1, 3)))]
@@ -439,11 +490,36 @@ def _lattice_table_pair(draw):
 @example(case=(
     {(0, 0): Atomic([-0.5, 0.25], [0.5, 0.5])}, {(0, 0): Atomic([-0.25, 0.5], [0.25, 0.75])}, 0.25
 ))
+# wide windows: a zero-mass atom far out, and far atoms one step apart,
+# where the oracle's own locations k * grid carry the rounding of a large k
+@example(case=(
+    {(0, 0): Atomic([-0.25, 0.5, 1501.25, 0.0, 0.25], [0.0, 0.0, 0.0, 1 / 3, 2 / 3])},
+    {(0, 0): Atomic([0.0], [1.0])},
+    0.25,
+))
+@example(case=(
+    {(0, 0): Atomic([0.0, 1e6 * 0.1], [0.5, 0.5])},
+    {(0, 0): Atomic([0.0, 999_999 * 0.1], [0.5, 0.5])},
+    0.1,
+))
 def test_lattice_residual_matches_sup_w1(case):
     table1, table2, grid = case
     expected = sup_w1(table1, table2)
-    assert _lattice_sup_w1(table1, table2, grid) == pytest.approx(expected, rel=1e-12, abs=0.0)
-    assert _lattice_sup_w1(table2, table1, grid) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    # A pair whose index window is at most twice its atom count is checked
+    # to 1e-12 relative alone.  A wider pair may also round by a few ulps of
+    # grid * (window + largest |k|): the oracle in its location differences
+    # k * grid, the lattice in a running CDF gap of ulps summed over the
+    # window.  On a window of 2e6 bins that exceeds 1e-12 of one grid step.
+    slack = 0.0
+    for sa in table1:
+        k1, k2 = (np.rint(t[sa].locations / grid) for t in (table1, table2))
+        k = np.concatenate([k1, k2])
+        width = k.max() - k.min() + 1
+        if width > 2 * k.size:
+            eps = np.finfo(float).eps
+            slack = max(slack, 16 * eps * grid * (width + np.abs(k).max()))
+    for got in (_lattice_sup_w1(table1, table2, grid), _lattice_sup_w1(table2, table1, grid)):
+        assert got == pytest.approx(expected, rel=1e-12, abs=slack)
 
 
 @pytest.mark.parametrize("loc", [0.375, np.nextafter(0.5, 1.0)])
@@ -462,11 +538,26 @@ def test_stochastic_fixed_point_distribution():
     gamma = 0.5
     mdp = TabularMDP(1, 1, {(0, 0): ((0.5, 0.0, 0), (0.5, 1.0, 0))}, gamma)
     pi = Policy.uniform(1, 1)
-    table = solve_return_fixed_point(mdp, pi, tol=1e-8, grid=1e-5)
+    table = solve_return_fixed_point(mdp, pi, tol=1e-8)
     dist = table[(0, 0)]
     locs, masses = dist.locations, dist.masses
     mean = float(masses @ locs)
     var = float(masses @ (locs - mean) ** 2)
     # sum gamma^t R_t with E R = 1/2, Var R = 1/4
+    # the grid is 1e-4 * 2 / (1 - gamma) = 4e-4: projection keeps the mean
+    # and adds at most grid**2 / 4 / (1 - gamma**2), about 5e-8, to the variance
     assert mean == pytest.approx(0.5 / (1 - gamma), abs=1e-4)
     assert var == pytest.approx(0.25 / (1 - gamma**2), abs=1e-3)
+
+
+def test_fixed_point_of_zero_rewards_is_a_point_mass_at_zero():
+    # a zero return span leaves the solve a unit grid, which holds the atom at 0
+    transitions = {
+        (s, a): ((0.5, 0.0, 0), (0.5, 0.0, 1)) for s in range(2) for a in range(2)
+    }
+    mdp = TabularMDP(2, 2, transitions, 0.9)
+    table = solve_return_fixed_point(mdp, Policy(np.array([[0.3, 0.7], [1.0, 0.0]])))
+    assert table.keys() == set(mdp.pairs())
+    for dist in table.values():
+        assert dist.locations.tolist() == [0.0]
+        assert dist.masses.tolist() == [1.0]
