@@ -24,10 +24,10 @@ from .errors import InvalidInput, NonConvergence
 _PROB_TOL = 1e-12
 
 
-def _is_state_index(s, n_states: int) -> bool:
-    """An integer in range(n_states); a float or bool equal to one is not."""
-    integral = isinstance(s, (int, np.integer)) and not isinstance(s, bool)
-    return integral and 0 <= s < n_states
+def _is_index(i, n: int) -> bool:
+    """An integer in range(n); a float or bool equal to one is not."""
+    integral = isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+    return integral and 0 <= i < n
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,9 @@ class TabularMDP:
     def __post_init__(self):
         if not 0 <= self.gamma < 1:
             raise InvalidInput(f"gamma must lie in [0, 1), got {self.gamma}")
+        extra = set(self.transitions) - set(self.pairs())
+        if extra:
+            raise InvalidInput(f"transition keys {sorted(map(repr, extra))} are not pairs of the MDP")
         for s in range(self.n_states):
             for a in range(self.n_actions):
                 branches = self.transitions.get((s, a))
@@ -52,7 +55,7 @@ class TabularMDP:
                     raise InvalidInput(f"transition probs for {(s, a)} do not sum to 1")
                 if not np.isfinite([b[1] for b in branches]).all():
                     raise InvalidInput(f"rewards for {(s, a)} must be finite")
-                if not all(_is_state_index(b[2], self.n_states) for b in branches):
+                if not all(_is_index(b[2], self.n_states) for b in branches):
                     raise InvalidInput(f"next states for {(s, a)} must be state indices")
 
     def pairs(self):
@@ -80,6 +83,9 @@ class Policy:
 
     @classmethod
     def deterministic(cls, actions, n_actions: int) -> "Policy":
+        """Take action actions[s] at state s: a 1-D sequence of action indices."""
+        if not np.iterable(actions) or not all(_is_index(a, n_actions) for a in actions):
+            raise InvalidInput(f"actions must be integers in range({n_actions}), got {actions!r}")
         probs = np.zeros((len(actions), n_actions))
         probs[np.arange(len(actions)), actions] = 1.0
         return cls(probs)

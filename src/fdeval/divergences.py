@@ -214,13 +214,15 @@ def _gauss_conv_density(dm, sv):
 
 
 def _gmm_logpdf(z, w, m, v):
-    z = np.asarray(z, dtype=float)[:, None]
-    log_comp = (
-        -0.5 * (z - m[None, :]) ** 2 / v[None, :]
-        - 0.5 * np.log(2.0 * math.pi * v[None, :])
-        + np.log(w[None, :])
-    )
-    return special.logsumexp(log_comp, axis=1)
+    """log sum_k w_k N(z; m_k, v_k) by the max-shifted log-sum-exp (Blanchard,
+    Higham & Higham 2021), built in place in one component-major buffer."""
+    buf = np.subtract(z[None, :], m[:, None])
+    buf *= buf
+    buf *= (-0.5 / v)[:, None]
+    buf += (np.log(w) - 0.5 * np.log(2.0 * math.pi * v))[:, None]
+    top = buf.max(axis=0)
+    buf -= top
+    return np.log(np.exp(buf, out=buf).sum(axis=0)) + top
 
 
 def _energy_gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:

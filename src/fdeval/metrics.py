@@ -8,6 +8,7 @@ contraction factor of the distributional Bellman operator under the lift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,6 +19,7 @@ from .divergences import energy_mmd2_atomic
 from .errors import InvalidInput
 
 _SLC_TOL = 1e-9  # slack for floating-point rounding in the S-L-C inequalities
+_ONE = np.ones(1)
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,8 @@ class MetricSpec:
     def __post_init__(self):
         if self.kind not in ("wasserstein", "energy", "cramer"):
             raise InvalidInput(f"unknown metric kind {self.kind!r}")
-        if self.kind == "wasserstein" and not self.p >= 1:  # NaN included
-            raise InvalidInput("wasserstein order must be >= 1")
+        if self.kind == "wasserstein" and not 1 <= self.p < math.inf:  # NaN included
+            raise InvalidInput(f"wasserstein order must be finite and >= 1, got {self.p}")
         if self.kind != "wasserstein" and self.p != 1.0:
             raise InvalidInput(f"{self.kind} has no order, got p={self.p}")
         if self.kind == "wasserstein":
@@ -75,36 +77,14 @@ class ExtensionSpec:
             raise InvalidInput(f"unknown extension mode {self.mode!r}")
         if self.mode == "supremum" and (self.q != 1.0 or self.weights is not None):
             raise InvalidInput("the supremum extension takes no order q and no weights")
-        if not self.q >= 1:  # NaN included
-            raise InvalidInput("extension order must be >= 1")
+        if not 1 <= self.q < math.inf:  # NaN included
+            raise InvalidInput(f"extension order must be finite and >= 1, got {self.q}")
         if self.weights is not None:
             if any(not w >= 0 for w in self.weights.values()):  # NaN included
                 raise InvalidInput("extension weights must be >= 0")
             total = sum(self.weights.values())
             if abs(total - 1.0) > 1e-9:
                 raise InvalidInput(f"extension weights sum to {total}, not 1")
-
-
-def _atomic_quantile_segments(p: Atomic, q: Atomic):
-    """Merged CDF breakpoints of two 1-D atomic measures.
-
-    Returns (widths, qp, qq): probability-segment widths and the constant
-    quantile values of each measure on those segments.
-    """
-    zp, mp = _sorted_atoms(p)
-    zq, mq = _sorted_atoms(q)
-    cp = np.cumsum(mp)
-    cq = np.cumsum(mq)
-    cuts = np.unique(np.concatenate([cp, cq, [0.0]]))
-    cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
-    if cuts[-1] < 1.0:
-        cuts = np.append(cuts, 1.0)
-    widths = np.diff(cuts)
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    qp = zp[np.minimum(np.searchsorted(cp, mids), zp.size - 1)]
-    qq = zq[np.minimum(np.searchsorted(cq, mids), zq.size - 1)]
-    keep = widths > 0
-    return widths[keep], qp[keep], qq[keep]
 
 
 def _sorted_atoms(a: Atomic):
@@ -114,12 +94,23 @@ def _sorted_atoms(a: Atomic):
 
 
 def wasserstein_1d(p: float, dist1: Atomic, dist2: Atomic) -> float:
-    """Wasserstein-p distance between two atomic measures, by the exact
-    quantile coupling over their merged CDF breakpoints."""
-    if not p >= 1:  # NaN included
-        raise InvalidInput("wasserstein order must be >= 1")
-    widths, qp, qq = _atomic_quantile_segments(dist1, dist2)
-    return float(np.sum(widths * np.abs(qp - qq) ** p) ** (1.0 / p))
+    """Wasserstein-p distance between two atomic measures by the quantile
+    coupling.  The cuts are both CDFs and 1, sorted and clipped to 1; on the
+    segment (cuts[j - 1], cuts[j]] each measure's quantile is its first atom
+    whose CDF reaches cuts[j].  Zero-width segments are dropped."""
+    if not 1 <= p < math.inf:  # NaN included
+        raise InvalidInput(f"wasserstein order must be finite and >= 1, got {p}")
+    zp, mp = _sorted_atoms(dist1)
+    zq, mq = _sorted_atoms(dist2)
+    cp, cq = np.cumsum(mp), np.cumsum(mq)
+    cuts = np.minimum(np.sort(np.concatenate([cp, cq, _ONE])), 1.0)
+    widths = cuts.copy()
+    widths[1:] -= cuts[:-1]  # np.diff(cuts, prepend=0.0) without its concatenation
+    keep = widths > 0
+    cuts, widths = cuts[keep], widths[keep]
+    # searching all but the last CDF value clamps a cut past it to the last atom
+    gaps = np.abs(zp[np.searchsorted(cp[:-1], cuts)] - zq[np.searchsorted(cq[:-1], cuts)])
+    return float((widths @ gaps**p) ** (1.0 / p))
 
 
 def metric_extension(metric: MetricSpec, ext: ExtensionSpec, table1: dict, table2: dict) -> float:

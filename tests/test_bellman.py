@@ -60,6 +60,9 @@ def test_mdp_validation():
         with pytest.raises(InvalidInput, match="rewards"):
             single_loop_mdp(reward=reward)
     TabularMDP(2, 1, {(0, 0): ((1.0, 0.0, np.int64(1)),), (1, 0): ((1.0, 0.0, 0),)}, 0.9)
+    # a row outside pairs() used to pass unchecked, its next state 7 included
+    with pytest.raises(InvalidInput, match=r"\(3, 0\)"):
+        TabularMDP(1, 1, {(0, 0): ((1.0, 0.0, 0),), (3, 0): ((1.0, 0.0, 7),)}, 0.9)
 
 
 # each of these used to pass its check, since NaN fails every comparison
@@ -108,6 +111,16 @@ def test_policy_validation():
         Policy(np.array([[0.5, 0.4]]))
     pi = Policy.deterministic([1, 0], 2)
     np.testing.assert_array_equal(pi.probs, [[0.0, 1.0], [1.0, 0.0]])
+
+
+# [2], [0.5] and [True] escaped as IndexError, 5 as TypeError; [-1] picked
+# action 1 and [[0]] built a policy
+@pytest.mark.parametrize("actions", [
+    [2], [0.5], [True], [-1], [[0]], [0, np.float64(1.0)], np.array([[0, 1]]), 5,
+], ids=repr)
+def test_deterministic_policy_rejects_non_action_indices(actions):
+    with pytest.raises(InvalidInput, match="actions"):
+        Policy.deterministic(actions, 2)
 
 
 def test_backup_single_sample():

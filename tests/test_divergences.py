@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
+from fdeval import divergences
 from fdeval.distributions import Atomic, GaussianMixture1D
 from fdeval.divergences import (
     FDE_METHODS,
@@ -147,6 +148,63 @@ def test_gmm_kl_mc_matches_closed_form():
     assert est == pytest.approx(0.5, abs=0.02)
 
 
+def _reference_gmm_logpdf(z, w, m, v):
+    """Oracle: the point-major log-density through scipy's logsumexp, which
+    divergences._gmm_logpdf replaced."""
+    z = np.asarray(z, dtype=float)[:, None]
+    log_comp = (
+        -0.5 * (z - m[None, :]) ** 2 / v[None, :]
+        - 0.5 * np.log(2.0 * np.pi * v[None, :])
+        + np.log(w[None, :])
+    )
+    return special.logsumexp(log_comp, axis=1)
+
+
+@st.composite
+def _mixtures(draw, max_components=12):
+    """Up to 12 components: means up to 200 apart around a center in
+    [-1e3, 1e3], variances from 1e-4 to 1e2."""
+    k = draw(st.integers(1, max_components))
+    gaps = draw(st.lists(st.floats(0.0, 200.0), min_size=k, max_size=k))
+    means = draw(st.floats(-1e3, 1e3)) + np.cumsum(gaps)
+    variances = 10.0 ** np.array(draw(st.lists(st.floats(-4.0, 2.0), min_size=k, max_size=k)))
+    raw = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k)))
+    return GaussianMixture1D(tuple(zip(raw / raw.sum(), means, variances)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mix=_mixtures(), offsets=st.lists(st.floats(-1e3, 1e3), max_size=8))
+def test_gmm_logpdf_matches_the_logsumexp_reference(mix, offsets):
+    w, m, v = mix.weights, mix.means, mix.variances
+    # at each mean its component dominates; 1e3 past the ends every term
+    # underflows exp unless the max is shifted out first
+    z = np.concatenate([m, m + np.sqrt(v), [m[0] - 1e3, m[-1] + 1e3], m[0] + np.array(offsets)])
+    np.testing.assert_allclose(
+        divergences._gmm_logpdf(z, w, m, v), _reference_gmm_logpdf(z, w, m, v),
+        rtol=1e-12, atol=1e-13,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_mixtures(), q=_mixtures(max_components=6), seed=st.integers(0, 2**32 - 1))
+def test_gmm_kl_matches_the_logsumexp_reference(p, q, seed):
+    kl = DivergenceSpec("kl")
+    fast = divergence_gmm(kl, p, q, rng=np.random.default_rng(seed), mc_samples=300)
+    scales = []
+
+    def reference(z, w, m, v):
+        out = _reference_gmm_logpdf(z, w, m, v)
+        scales.append(np.abs(out).max())
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(divergences, "_gmm_logpdf", reference)
+        slow = divergence_gmm(kl, p, q, rng=np.random.default_rng(seed), mc_samples=300)
+    # the estimate is a difference of log-densities, so near p == q its
+    # rounding scales with theirs, not with the estimate
+    assert fast == pytest.approx(slow, rel=1e-12, abs=1e-13 * max(scales))
+
+
 def test_mmd_atomic_hand_computation():
     # two single atoms at 0 and 3 under the energy kernel:
     # k(x,y) = |x| + |y| - |x-y|; MMD^2 = k(0,0) + k(3,3) - 2 k(0,3) = 6
@@ -185,6 +243,8 @@ _UNREAD_FIELDS = [
     (MetricSpec, ("energy",), {"p": 7.0}),
     (MetricSpec, ("cramer",), {"p": 0.5}),
     (MetricSpec, ("wasserstein",), {"p": float("nan")}),
+    (MetricSpec, ("wasserstein",), {"p": float("inf")}),
+    (ExtensionSpec, ("expectation",), {"q": float("inf")}),
     (ExtensionSpec, ("supremum",), {"q": 5.0}),
     (ExtensionSpec, ("supremum",), {"q": 0.1}),
     (ExtensionSpec, ("supremum",), {"weights": {"z": 1.0}}),

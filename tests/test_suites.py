@@ -36,6 +36,12 @@ def test_minimizer_small():
     assert report["passed"]
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_minimizer_passes_at_default_samples(seed):
+    report = minimizer_suite(seed=seed)
+    assert report["passed"], report["violations"][:3]
+
+
 def test_telescoping_small():
     report = telescoping_suite(seed=3, runs=5)
     _check_shape(report, "telescoping")
