@@ -7,8 +7,9 @@ long runs tractable.  Each backup is built in one pass: ``backup_mixture``
 concatenates the shifted, scaled atoms of every (sample, action) term into
 one Atomic, which compaction then merges.  The fixed-point solve projects
 onto a lattice derived from the MDP (the categorical projection of Rowland
-et al. 2018) and measures its per-step change there, where W1 is the grid
-step times the summed |CDF difference|.
+et al. 2018), iterates that linear map on dense pmfs, ends with one exact
+step, and measures each change on the lattice, where W1 is the grid step
+times the summed |CDF difference|.
 """
 
 from __future__ import annotations
@@ -17,17 +18,25 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from .distributions import Atomic
 from .errors import InvalidInput, NonConvergence
 
 _PROB_TOL = 1e-12
+_DENSE_ENTRIES = 2**24  # past it (gamma near 1) the solve takes exact steps only
 
 
 def _is_index(i, n: int) -> bool:
     """An integer in range(n); a float or bool equal to one is not."""
     integral = isinstance(i, (int, np.integer)) and not isinstance(i, bool)
     return integral and 0 <= i < n
+
+
+def _check_counts(**counts) -> None:
+    for name, n in counts.items():
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise InvalidInput(f"{name} must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -40,23 +49,23 @@ class TabularMDP:
     gamma: float
 
     def __post_init__(self):
+        _check_counts(n_states=self.n_states, n_actions=self.n_actions)
         if not 0 <= self.gamma < 1:
             raise InvalidInput(f"gamma must lie in [0, 1), got {self.gamma}")
         extra = set(self.transitions) - set(self.pairs())
         if extra:
             raise InvalidInput(f"transition keys {sorted(map(repr, extra))} are not pairs of the MDP")
-        for s in range(self.n_states):
-            for a in range(self.n_actions):
-                branches = self.transitions.get((s, a))
-                if not branches:
-                    raise InvalidInput(f"missing transition row for {(s, a)}")
-                probs = np.array([b[0] for b in branches], dtype=float)
-                if not (probs >= 0).all() or not abs(probs.sum() - 1.0) <= _PROB_TOL:
-                    raise InvalidInput(f"transition probs for {(s, a)} do not sum to 1")
-                if not np.isfinite([b[1] for b in branches]).all():
-                    raise InvalidInput(f"rewards for {(s, a)} must be finite")
-                if not all(_is_index(b[2], self.n_states) for b in branches):
-                    raise InvalidInput(f"next states for {(s, a)} must be state indices")
+        for sa in self.pairs():
+            branches = self.transitions.get(sa)
+            if not branches:
+                raise InvalidInput(f"missing transition row for {sa}")
+            probs = np.array([b[0] for b in branches], dtype=float)
+            if not (probs >= 0).all() or not abs(probs.sum() - 1.0) <= _PROB_TOL:
+                raise InvalidInput(f"transition probs for {sa} do not sum to 1")
+            if not np.isfinite([b[1] for b in branches]).all():
+                raise InvalidInput(f"rewards for {sa} must be finite")
+            if not all(_is_index(b[2], self.n_states) for b in branches):
+                raise InvalidInput(f"next states for {sa} must be state indices")
 
     def pairs(self):
         return [(s, a) for s in range(self.n_states) for a in range(self.n_actions)]
@@ -72,6 +81,8 @@ class Policy:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2:
             raise InvalidInput("policy table must be 2-dimensional")
+        if 0 in probs.shape:
+            raise InvalidInput(f"policy table needs a state and an action, got shape {probs.shape}")
         if not (probs >= 0).all() or not (np.abs(probs.sum(axis=1) - 1.0) <= _PROB_TOL).all():
             raise InvalidInput("policy rows must be probability vectors")
         probs.setflags(write=False)
@@ -79,11 +90,13 @@ class Policy:
 
     @classmethod
     def uniform(cls, n_states: int, n_actions: int) -> "Policy":
+        _check_counts(n_states=n_states, n_actions=n_actions)
         return cls(np.full((n_states, n_actions), 1.0 / n_actions))
 
     @classmethod
     def deterministic(cls, actions, n_actions: int) -> "Policy":
         """Take action actions[s] at state s: a 1-D sequence of action indices."""
+        _check_counts(n_actions=n_actions)
         if not np.iterable(actions) or not all(_is_index(a, n_actions) for a in actions):
             raise InvalidInput(f"actions must be integers in range({n_actions}), got {actions!r}")
         probs = np.zeros((len(actions), n_actions))
@@ -211,18 +224,15 @@ def _lattice_index(dist: Atomic, grid: float) -> np.ndarray:
     return k.astype(np.intp)
 
 
+def _lattice_w1(pmf_gap: np.ndarray, grid: float) -> np.ndarray:
+    """W1 on the lattice grid * Z from a pmf gap along the last axis: grid * sum |CDF gap|."""
+    return grid * np.abs(np.cumsum(pmf_gap, axis=-1)).sum(axis=-1)
+
+
 def _lattice_sup_w1(table1: ReturnTable, table2: ReturnTable, grid: float) -> float:
     """Largest W1 distance between the two tables' laws at a shared index,
-    for tables whose atoms all lie on the lattice grid * Z.
-
-    On the lattice W1 is grid times the summed |CDF difference| over the
-    indices, so a pair costs two bincounts and one cumsum over its index
-    window.  The window stays small at the fixed-point solve's grid of
-    1e-4 times the return span: returns lie within 1e4 steps, and
-    projection pushes the support out by less than 1 / (1 - gamma) steps
-    on each side, so a window holds at most about 1e4 + 2 / (1 - gamma) + 2
-    bins.
-    """
+    for tables whose atoms all lie on the lattice grid * Z; a pair costs two
+    bincounts and one cumsum over its index window."""
     if table1.keys() != table2.keys():
         raise InvalidInput("tables must share the same index set")
     worst = 0.0
@@ -234,8 +244,93 @@ def _lattice_sup_w1(table1: ReturnTable, table2: ReturnTable, grid: float) -> fl
         pmf_gap = np.bincount(k1 - lo, dist1.masses, width) - np.bincount(
             k2 - lo, dist2.masses, width
         )
-        worst = max(worst, grid * float(np.abs(np.cumsum(pmf_gap)).sum()))
+        worst = max(worst, float(_lattice_w1(pmf_gap, grid)))
     return worst
+
+
+def _lattice_operator(mdp: TabularMDP, pi: Policy, grid: float):
+    """apply_bellman on the lattice grid * Z, as a map on (pair, index) pmfs.
+
+    A step mixes each state's action rows by pi; shifts each mixture by each
+    distinct reward r, splitting the mass at index k between floor(f) and the
+    index above, f = (r + gamma * k * grid) / grid, as compact_atoms does;
+    weights the shifted rows by each pair's branch probabilities; and
+    rescales each row to sum to 1.  Returns the lattice window's lowest index,
+    its width and the step, or None past _DENSE_ENTRIES.
+    """
+    n_states, n_pairs = mdp.n_states, mdp.n_states * mdp.n_actions
+    branch_weights = {}  # reward -> (pair, next state) weights
+    for i, sa in enumerate(mdp.pairs()):
+        branches = [(float(p), r, s_next) for p, r, s_next in mdp.transitions[sa] if p > 0]
+        total = sum(p for p, _, _ in branches)
+        for p, r, s_next in branches:
+            branch_weights.setdefault(r, np.zeros((n_pairs, n_states)))[i, s_next] += p / total
+    # Reward r sends index k to floor(r / grid + gamma * k) and the index above,
+    # so [lo, hi] holds its own images once it holds the map's fixed interval
+    # [y, x] / (1 - gamma), x and y the largest and smallest r / grid, with
+    # x / (1 - gamma) < hi.  Widened by 1 / (1 - gamma) + 1e-6 steps on each side,
+    # then rounded inward, it has over gamma + 1e-6 (1 - gamma) steps to spare for
+    # rounding.  With 0, the start, added it spans ~1e4 + 2 / (1 - gamma) bins.
+    x, y = max(branch_weights) / grid, min(branch_weights) / grid
+    lo = min(0, int(np.ceil((y - 1.0) / (1.0 - mdp.gamma) - 1e-6)))
+    hi = max(0, int(np.floor((x + 1.0) / (1.0 - mdp.gamma) + 1e-6)))
+    width, n_rewards = hi - lo + 1, len(branch_weights)
+    if n_pairs * width > _DENSE_ENTRIES:
+        return None
+    lattice = np.arange(lo, hi + 1) * grid
+    rows, masses = [], []
+    for j, r in enumerate(branch_weights):
+        f = (r + mdp.gamma * lattice) / grid
+        k = np.floor(f)
+        right, k = f - k, k.astype(np.intp) - lo
+        if k[0] < 0 or k[-1] + 1 >= width:
+            raise InvalidInput(f"gamma {mdp.gamma} leaves the lattice window no room for rounding")
+        rows += [k * n_rewards + j, (k + 1) * n_rewards + j]
+        masses += [1.0 - right, right]
+    # row i * n_rewards + j holds what reward j moves to index i: O(rewards * width)
+    shift = sparse.csr_matrix(
+        (np.concatenate(masses), (np.concatenate(rows), np.tile(np.arange(width), 2 * n_rewards))),
+        shape=(width * n_rewards, width),
+    )
+    weights = np.hstack(list(branch_weights.values()))
+    mix = pi.probs / pi.probs.sum(axis=1, keepdims=True)
+
+    def step(pmfs: np.ndarray) -> np.ndarray:
+        mixed = np.einsum("sak,sa->sk", pmfs.reshape(n_states, mdp.n_actions, width), mix)
+        out = weights @ (shift @ mixed.T).reshape(width, n_rewards * n_states).T
+        return out / out.sum(axis=1, keepdims=True)
+
+    return lo, width, step
+
+
+def _solve_on_lattice(mdp: TabularMDP, pi: Policy, grid: float, tol: float, max_iters: int):
+    """The fixed-point solve on the lattice grid * Z.  Dense steps run up to
+    the one whose sup-W1 change is at most tol; an exact apply_bellman step
+    redoes it, and exact steps go on while their lattice residual exceeds
+    tol (from the zero table past _DENSE_ENTRIES).  max_iters counts both."""
+    _check_policy(mdp, pi)
+    operator = _lattice_operator(mdp, pi, grid)
+    table, residual, done = zero_table(mdp), np.inf, 0
+    if operator is not None:
+        lo, width, step = operator
+        pmfs = np.zeros((len(table), width))
+        pmfs[:, -lo] = 1.0
+        while done < max_iters:
+            nxt = step(pmfs)
+            change = float(_lattice_w1(nxt - pmfs, grid).max())
+            if change <= tol:
+                break
+            pmfs, residual, done = nxt, change, done + 1
+        for sa, row in zip(mdp.pairs(), pmfs):
+            k = np.flatnonzero(row)
+            table[sa] = Atomic._owned((k + lo) * grid, row[k])
+    for _ in range(done, max_iters):
+        nxt = apply_bellman(table, mdp, pi, grid=grid)
+        residual = _lattice_sup_w1(nxt, table, grid)
+        table = nxt
+        if residual <= tol:
+            return table
+    raise NonConvergence(f"fixed point not reached in {max_iters} iterations", residual=residual)
 
 
 def solve_return_fixed_point(
@@ -246,24 +341,19 @@ def solve_return_fixed_point(
 ) -> ReturnTable:
     """Iterate the Bellman operator from the zero table to its fixed point.
 
-    Every step projects onto the lattice of grid 1e-4 times the return span
-    2 * max|r| / (1 - gamma), which keeps atom counts bounded, and stops
-    when the supremum-W1 change, measured on that lattice, drops below tol.
-    When every reward is 0 all atoms sit at 0, which a unit grid holds.
+    Every step projects onto the lattice of grid h = 1e-4 times the return
+    span 2 * max|r| / (1 - gamma), which keeps atom counts bounded, and
+    stops when the supremum-W1 change, measured on that lattice, drops below
+    tol.  When every reward is 0 all atoms sit at 0, which a unit grid holds.
+    The result is within h / (2 (1 - gamma)) + gamma * tol / (1 - gamma) of the
+    true laws in sup-W1: a projection moves W1 by at most h / 2, and the
+    projected operator is a gamma-contraction.
     """
     if not tol > 0:  # NaN included
         raise InvalidInput(f"tol must be positive, got {tol}")
     rmax = max(abs(r) for branches in mdp.transitions.values() for _, r, _ in branches)
     span = 2.0 * rmax / (1.0 - mdp.gamma)
     grid = 1e-4 * span if span > 0 else 1.0
-    table = zero_table(mdp)
-    residual = np.inf
-    for _ in range(max_iters):
-        nxt = apply_bellman(table, mdp, pi, grid=grid)
-        residual = _lattice_sup_w1(nxt, table, grid)
-        table = nxt
-        if residual <= tol:
-            return table
-    raise NonConvergence(
-        f"fixed point not reached in {max_iters} iterations", residual=residual
-    )
+    if not 0 < grid < np.inf:  # a span that overflows, or so small its grid underflows
+        raise InvalidInput(f"the lattice step 1e-4 * span must be finite and positive, got {grid}")
+    return _solve_on_lattice(mdp, pi, grid, tol, max_iters)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fdeval import bellman
 from fdeval.bellman import (
     Policy,
     TabularMDP,
@@ -273,8 +274,6 @@ def test_grid_must_be_none_or_a_finite_positive_number(grid):
 
 
 def test_fixed_point_matches_the_sequential_scan_bitwise(monkeypatch):
-    from fdeval import bellman
-
     mdp = tabular_make_random(2, 2, 2, np.random.default_rng(0), gamma=0.5)
     pi = Policy.uniform(2, 2)
     table = solve_return_fixed_point(mdp, pi)
@@ -574,3 +573,267 @@ def test_fixed_point_of_zero_rewards_is_a_point_mass_at_zero():
     for dist in table.values():
         assert dist.locations.tolist() == [0.0]
         assert dist.masses.tolist() == [1.0]
+
+
+# --- shapes the dense solve sizes its arrays from ---------------------------
+
+
+_ONE_ROW = {(0, 0): ((1.0, 0.0, 0),)}
+
+
+# TabularMDP(0, 1, {}, 0.9) and (1, 0, ...) constructed, (1.5, 1, ...) raised
+# TypeError; Policy.uniform(2, 0) raised ZeroDivisionError,
+# deterministic([], 2.5) TypeError, deterministic([0], 0) blamed the action,
+# and deterministic([], 0) built a (0, 0) policy
+@pytest.mark.parametrize("build, match", [
+    (lambda: TabularMDP(0, 1, {}, 0.9), "n_states"),
+    (lambda: TabularMDP(1, 0, {}, 0.9), "n_actions"),
+    (lambda: TabularMDP(1.5, 1, _ONE_ROW, 0.9), "n_states"),
+    (lambda: TabularMDP(True, 1, _ONE_ROW, 0.9), "n_states"),
+    (lambda: TabularMDP(1, np.float64(1.0), _ONE_ROW, 0.9), "n_actions"),
+    (lambda: Policy.uniform(2, 0), "n_actions"),
+    (lambda: Policy.uniform(0, 2), "n_states"),
+    (lambda: Policy.uniform(2.0, 2), "n_states"),
+    (lambda: Policy.deterministic([], 2.5), "n_actions"),
+    (lambda: Policy.deterministic([0], 0), "n_actions"),
+    (lambda: Policy.deterministic([], 0), "n_actions"),
+    (lambda: Policy.deterministic([], 2), "policy table"),
+    (lambda: Policy(np.zeros((0, 0))), "policy table"),
+    (lambda: Policy(np.zeros((2, 0))), "policy table"),
+], ids=[
+    "mdp-0-states", "mdp-0-actions", "mdp-1.5-states", "mdp-True-states", "mdp-float-actions",
+    "uniform-0-actions", "uniform-0-states", "uniform-float-states", "deterministic-2.5-actions",
+    "deterministic-0-actions", "deterministic-empty-0-actions", "deterministic-empty",
+    "policy-0x0", "policy-2x0",
+])
+def test_empty_or_non_integer_shapes_are_rejected(build, match):
+    with pytest.raises(InvalidInput, match=match):
+        build()
+
+
+@pytest.mark.parametrize("reward", [1e308, 5e-324])
+def test_solve_rejects_a_span_whose_lattice_step_overflows_or_underflows(reward):
+    mdp = TabularMDP(1, 1, {(0, 0): ((1.0, reward, 0),)}, 0.9)
+    with pytest.raises(InvalidInput, match="lattice step"):
+        solve_return_fixed_point(mdp, Policy.uniform(1, 1))
+
+
+# --- the dense lattice solve against the atomic loop it replaced -----------
+
+
+def _solve_grid(mdp):
+    """The solve's lattice step, 1e-4 times the return span (1 at span 0),
+    and the span."""
+    rmax = max(abs(r) for branches in mdp.transitions.values() for _, r, _ in branches)
+    span = 2.0 * rmax / (1.0 - mdp.gamma)
+    return (1e-4 * span if span > 0 else 1.0), span
+
+
+def _solve_atomic(mdp, pi, grid, tol=1e-8, max_iters=10_000):
+    """Reference for the fixed-point solve: exact apply_bellman steps from the
+    zero table, each scored by its lattice residual.  Returns the table and
+    the number of steps taken."""
+    table, residual = zero_table(mdp), np.inf
+    for steps in range(1, max_iters + 1):
+        nxt = apply_bellman(table, mdp, pi, grid=grid)
+        residual = _lattice_sup_w1(nxt, table, grid)
+        table = nxt
+        if residual <= tol:
+            return table, steps
+    raise NonConvergence(f"fixed point not reached in {max_iters} iterations", residual=residual)
+
+
+def _with_rewards(mdp, reward_of):
+    """The MDP with every branch reward r replaced by reward_of(r)."""
+    transitions = {
+        sa: tuple((p, reward_of(r), s_next) for p, r, s_next in branches)
+        for sa, branches in mdp.transitions.items()
+    }
+    return TabularMDP(mdp.n_states, mdp.n_actions, transitions, mdp.gamma)
+
+
+def _random(n_states, n_actions, gamma, seed):
+    return tabular_make_random(n_states, n_actions, 2, np.random.default_rng(seed), gamma=gamma)
+
+
+_SEEDED_SOLVES = {
+    "2x1-gamma-0.9": (lambda: _random(2, 1, 0.9, 0), None),
+    "3x2-gamma-0.9-pi-zeros": (
+        lambda: _random(3, 2, 0.9, 1), [[1.0, 0.0], [0.3, 0.7], [0.0, 1.0]]
+    ),
+    "2x2-gamma-0.5": (lambda: _random(2, 2, 0.5, 3), None),
+    "4x3-gamma-0": (lambda: _random(4, 3, 0.0, 2), None),
+    "2x1-gamma-0.99": (lambda: _random(2, 1, 0.99, 2), None),
+    "2x2-negative": (lambda: _with_rewards(_random(2, 2, 0.9, 5), lambda r: r - 1.0), None),
+    "2x2-mixed-signs": (lambda: _with_rewards(_random(2, 2, 0.9, 6), lambda r: 2.0 * r - 1.0), None),
+    "2x2-zero": (lambda: _with_rewards(_random(2, 2, 0.9, 7), lambda r: 0.0), None),
+    "2x2-single-reward": (lambda: _with_rewards(_random(2, 2, 0.9, 8), lambda r: 0.7), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED_SOLVES))
+def test_solve_matches_the_atomic_reference(name):
+    build, probs = _SEEDED_SOLVES[name]
+    mdp = build()
+    pi = Policy.uniform(mdp.n_states, mdp.n_actions) if probs is None else Policy(probs)
+    grid, span = _solve_grid(mdp)
+    ref, _ = _solve_atomic(mdp, pi, grid)
+    table = solve_return_fixed_point(mdp, pi)
+    assert table.keys() == ref.keys()
+    assert sup_w1(table, ref) <= 1e-13 * (1.0 + span)
+
+
+@st.composite
+def _solve_cases(draw):
+    """Small MDPs with rewards from a pool: all zero, one value, repeated
+    values, negative ones; policies with zero entries.  At gamma = 0.99 the
+    MDP stays at most 2 x 2, which keeps the atomic reference's ~2000 steps
+    cheap."""
+    gamma = draw(st.sampled_from((0.0, 0.5, 0.9, 0.99)))
+    n_states = draw(st.integers(1, 5 if gamma < 0.99 else 2))
+    n_actions = draw(st.integers(1, 3 if gamma < 0.99 else 2))
+    rewards = draw(st.one_of(
+        st.just([0.0]),
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3)),
+                 min_size=1, max_size=3),
+    ))
+    transitions = {}
+    for sa in [(s, a) for s in range(n_states) for a in range(n_actions)]:
+        probs = _probability_row(draw, draw(st.integers(1, 3)))
+        transitions[sa] = tuple(
+            (p, draw(st.sampled_from(rewards)), draw(st.integers(0, n_states - 1))) for p in probs
+        )
+    mdp = TabularMDP(n_states, n_actions, transitions, gamma)
+    pi = Policy(np.array([_probability_row(draw, n_actions) for _ in range(n_states)]))
+    return mdp, pi
+
+
+def _coarse_grid(mdp):
+    """A lattice step of span / 200, which keeps the atomic reference's
+    supports to a few hundred atoms; the solve's own step is span / 1e4."""
+    grid, span = _solve_grid(mdp)
+    return (span / 200 if span > 0 else grid), span
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_solve_cases())
+@example(case=(_with_rewards(_random(2, 2, 0.99, 4), lambda r: -r), Policy([[0.0, 1.0], [0.5, 0.5]])))
+@example(case=(_with_rewards(_random(3, 3, 0.0, 4), lambda r: 0.0), Policy.uniform(3, 3)))
+@example(case=(_with_rewards(_random(5, 1, 0.9, 4), lambda r: -0.3), Policy.uniform(5, 1)))
+def test_lattice_solve_matches_the_atomic_reference(case):
+    mdp, pi = case
+    grid, span = _coarse_grid(mdp)
+    ref, _ = _solve_atomic(mdp, pi, grid)
+    table = bellman._solve_on_lattice(mdp, pi, grid, 1e-8, 10_000)
+    assert table.keys() == ref.keys()
+    assert sup_w1(table, ref) <= 1e-13 * (1.0 + span)
+
+
+def _table_pmfs(table, pairs, lo, width, grid):
+    """A lattice table as (pair, index) pmf rows over the window from lo."""
+    return np.array([
+        np.bincount(np.rint(table[sa].locations / grid).astype(np.intp) - lo, table[sa].masses, width)
+        for sa in pairs
+    ])
+
+
+# Atomic accepts masses that sum to 1 within 1e-12: the exact step rescales
+# them to 1, and so must the lattice step
+@settings(max_examples=100, deadline=None)
+@given(case=_solve_cases(), seed=st.integers(0, 2**32 - 1), defect=st.sampled_from((0.0, 8e-13, -8e-13)))
+def test_one_lattice_step_is_one_exact_step(case, seed, defect):
+    mdp, pi = case
+    grid, _ = _coarse_grid(mdp)
+    lo, width, step = bellman._lattice_operator(mdp, pi, grid)
+    rng = np.random.default_rng(seed)
+    table = {}
+    for sa in mdp.pairs():
+        k = rng.choice(width, size=min(width, 6), replace=False)
+        masses = rng.dirichlet(np.ones(k.size)) * rng.integers(0, 2, size=k.size)
+        masses = masses if masses.sum() > 0 else np.eye(k.size)[0]
+        table[sa] = Atomic((k + lo) * grid, masses / masses.sum() * (1.0 + defect))
+    pmfs = _table_pmfs(table, mdp.pairs(), lo, width, grid)
+    exact = _table_pmfs(apply_bellman(table, mdp, pi, grid=grid), mdp.pairs(), lo, width, grid)
+    np.testing.assert_allclose(step(pmfs), exact, rtol=1e-13, atol=1e-300)
+
+
+def test_lattice_window_is_tight_at_gamma_0():
+    """At gamma = 0 one step puts mass on both end bins of the window, so a
+    window one bin narrower at either end would lose it."""
+    mdp = TabularMDP(1, 1, {(0, 0): ((0.5, -0.373, 0), (0.5, 0.614, 0))}, 0.0)
+    lo, width, step = bellman._lattice_operator(mdp, Policy.uniform(1, 1), 0.01)
+    assert (lo, lo + width - 1) == (-38, 62)
+    pmfs = np.zeros((1, width))
+    pmfs[0, -lo] = 1.0
+    out = step(pmfs)
+    assert out[0, 0] > 0 and out[0, -1] > 0
+
+
+def test_solve_certifies_with_one_exact_step(monkeypatch):
+    applied = []
+    apply = bellman.apply_bellman
+    monkeypatch.setattr(bellman, "apply_bellman", lambda *a, **kw: applied.append(a) or apply(*a, **kw))
+    solve_return_fixed_point(_random(2, 2, 0.9, 0), Policy.uniform(2, 2))
+    assert len(applied) == 1
+
+
+def test_max_iters_counts_dense_and_exact_steps(monkeypatch):
+    mdp = _random(2, 2, 0.5, 3)
+    pi = Policy.uniform(2, 2)
+    grid, _ = _solve_grid(mdp)
+    ref, steps = _solve_atomic(mdp, pi, grid)
+    assert sup_w1(solve_return_fixed_point(mdp, pi, max_iters=steps), ref) <= 1e-13
+    with pytest.raises(NonConvergence) as caught:
+        solve_return_fixed_point(mdp, pi, max_iters=steps - 1)
+    with pytest.raises(NonConvergence) as expected:
+        _solve_atomic(mdp, pi, grid, max_iters=steps - 1)
+    assert caught.value.residual > 1e-8
+    assert caught.value.residual == pytest.approx(expected.value.residual, rel=1e-9)
+    # an exact step whose residual exceeds tol is followed by another, and
+    # that step counts too
+    residuals = []
+    original = bellman._lattice_sup_w1
+
+    def reject_the_first(*args):
+        residuals.append(original(*args))
+        return np.inf if len(residuals) == 1 else residuals[-1]
+
+    monkeypatch.setattr(bellman, "_lattice_sup_w1", reject_the_first)
+    with pytest.raises(NonConvergence):
+        solve_return_fixed_point(mdp, pi, max_iters=steps)
+    residuals.clear()
+    table = solve_return_fixed_point(mdp, pi, max_iters=steps + 1)
+    assert len(residuals) == 2
+    assert sup_w1(table, ref) <= 1e-8
+
+
+def test_a_window_past_the_dense_limit_takes_exact_steps(monkeypatch):
+    mdp = _random(2, 2, 0.5, 3)
+    pi = Policy.uniform(2, 2)
+    ref, _ = _solve_atomic(mdp, pi, _solve_grid(mdp)[0])
+    monkeypatch.setattr(bellman, "_DENSE_ENTRIES", 0)
+    _assert_tables_bitwise_equal(solve_return_fixed_point(mdp, pi), ref)
+
+
+# --- the truth's own error --------------------------------------------------
+
+
+@pytest.mark.parametrize("shape, gamma, seed", [
+    ((2, 1), 0.9, 0), ((2, 2), 0.5, 3), ((3, 2), 0.9, 1), ((1, 2), 0.95, 4), ((4, 2), 0.9, 0),
+])
+def test_truth_error_bound_holds_between_lattices(shape, gamma, seed):
+    """The solve at step h is within e(h) = h / (2 (1 - gamma)) + gamma * tol /
+    (1 - gamma) of the true laws in sup-W1, so solves at h and h / 4 are
+    within e(h) + e(h / 4) of each other."""
+    mdp = _random(*shape, gamma, seed)
+    pi = Policy.uniform(*shape)
+    tol = 1e-8
+    grid, _ = _solve_grid(mdp)
+    coarse = bellman._solve_on_lattice(mdp, pi, grid, tol, 10_000)
+    fine = bellman._solve_on_lattice(mdp, pi, grid / 4, tol, 10_000)
+    _assert_tables_bitwise_equal(solve_return_fixed_point(mdp, pi, tol=tol), coarse)
+
+    def error(h):
+        return h / (2 * (1 - gamma)) + gamma * tol / (1 - gamma)
+
+    assert sup_w1(coarse, fine) <= error(grid) + error(grid / 4)
