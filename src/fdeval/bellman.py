@@ -14,7 +14,8 @@ times the summed |CDF difference|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ from .distributions import Atomic
 from .errors import InvalidInput, NonConvergence
 
 _PROB_TOL = 1e-12
-_DENSE_ENTRIES = 2**24  # past it (gamma near 1) the solve takes exact steps only
+_DENSE_ENTRIES = 2**24  # (pair, lattice index) entries the solve may hold
 
 
 def _is_index(i, n: int) -> bool:
@@ -41,12 +42,18 @@ def _check_counts(**counts) -> None:
 
 @dataclass(frozen=True)
 class TabularMDP:
-    """Finite MDP with per-(s, a) transition branches (prob, reward, next_state)."""
+    """Finite MDP with per-(s, a) transition branches (prob, reward, next_state).
+
+    ``branches`` holds each pair's branches of positive probability once
+    parsed, as (p / total, reward, next_state), with ``total`` the sum of those
+    p taken left to right; every reader of the dynamics reads it.
+    """
 
     n_states: int
     n_actions: int
     transitions: dict  # (s, a) -> tuple of (prob, reward, next_state)
     gamma: float
+    branches: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_counts(n_states=self.n_states, n_actions=self.n_actions)
@@ -55,17 +62,26 @@ class TabularMDP:
         extra = set(self.transitions) - set(self.pairs())
         if extra:
             raise InvalidInput(f"transition keys {sorted(map(repr, extra))} are not pairs of the MDP")
+        parsed = {}
         for sa in self.pairs():
-            branches = self.transitions.get(sa)
-            if not branches:
+            row = self.transitions.get(sa)
+            if not row:
                 raise InvalidInput(f"missing transition row for {sa}")
-            probs = np.array([b[0] for b in branches], dtype=float)
+            if not all(isinstance(b, (tuple, list)) and len(b) == 3 for b in row):
+                raise InvalidInput(f"branches for {sa} must be (prob, reward, next_state) triples")
+            if not all(isinstance(x, Real) for b in row for x in b[:2]):
+                raise InvalidInput(f"probs and rewards for {sa} must be real numbers")
+            probs = np.array([b[0] for b in row], dtype=float)
             if not (probs >= 0).all() or not abs(probs.sum() - 1.0) <= _PROB_TOL:
                 raise InvalidInput(f"transition probs for {sa} do not sum to 1")
-            if not np.isfinite([b[1] for b in branches]).all():
+            if not np.isfinite([b[1] for b in row]).all():
                 raise InvalidInput(f"rewards for {sa} must be finite")
-            if not all(_is_index(b[2], self.n_states) for b in branches):
+            if not all(_is_index(b[2], self.n_states) for b in row):
                 raise InvalidInput(f"next states for {sa} must be state indices")
+            kept = [(float(p), r, s_next) for p, r, s_next in row if p > 0]
+            total = sum(p for p, _, _ in kept)
+            parsed[sa] = tuple((p / total, r, s_next) for p, r, s_next in kept)
+        object.__setattr__(self, "branches", parsed)
 
     def pairs(self):
         return [(s, a) for s in range(self.n_states) for a in range(self.n_actions)]
@@ -208,10 +224,7 @@ def apply_bellman(
     """One exact application of the distributional Bellman operator."""
     _check_policy(mdp, pi)
     out = {}
-    for sa in mdp.pairs():
-        branches = [(float(p), r, s_next) for p, r, s_next in mdp.transitions[sa] if p > 0]
-        total = sum(p for p, _, _ in branches)
-        samples = [(p / total, r, s_next) for p, r, s_next in branches]
+    for sa, samples in mdp.branches.items():
         out[sa] = compact_atoms(backup_mixture(samples, table, pi, mdp.gamma), grid=grid)
     return out
 
@@ -229,23 +242,11 @@ def _lattice_w1(pmf_gap: np.ndarray, grid: float) -> np.ndarray:
     return grid * np.abs(np.cumsum(pmf_gap, axis=-1)).sum(axis=-1)
 
 
-def _lattice_sup_w1(table1: ReturnTable, table2: ReturnTable, grid: float) -> float:
-    """Largest W1 distance between the two tables' laws at a shared index,
-    for tables whose atoms all lie on the lattice grid * Z; a pair costs two
-    bincounts and one cumsum over its index window."""
-    if table1.keys() != table2.keys():
-        raise InvalidInput("tables must share the same index set")
-    worst = 0.0
-    for sa, dist1 in table1.items():
-        dist2 = table2[sa]
-        k1, k2 = _lattice_index(dist1, grid), _lattice_index(dist2, grid)
-        lo = min(k1.min(), k2.min())
-        width = max(k1.max(), k2.max()) - lo + 1
-        pmf_gap = np.bincount(k1 - lo, dist1.masses, width) - np.bincount(
-            k2 - lo, dist2.masses, width
-        )
-        worst = max(worst, float(_lattice_w1(pmf_gap, grid)))
-    return worst
+def _on_window(table: ReturnTable, lo: int, width: int, grid: float) -> np.ndarray:
+    """The table's laws as (pair, index) pmf rows over the lattice window of
+    width bins from index lo; an atom off the lattice is an error."""
+    rows = [np.bincount(_lattice_index(d, grid) - lo, d.masses, width) for d in table.values()]
+    return np.array(rows)
 
 
 def _lattice_operator(mdp: TabularMDP, pi: Policy, grid: float):
@@ -256,30 +257,30 @@ def _lattice_operator(mdp: TabularMDP, pi: Policy, grid: float):
     index above, f = (r + gamma * k * grid) / grid, as compact_atoms does;
     weights the shifted rows by each pair's branch probabilities; and
     rescales each row to sum to 1.  Returns the lattice window's lowest index,
-    its width and the step, or None past _DENSE_ENTRIES.
+    its width and the step.  A window of more than _DENSE_ENTRIES (pair,
+    index) entries is an error.
     """
     n_states, n_pairs = mdp.n_states, mdp.n_states * mdp.n_actions
-    branch_weights = {}  # reward -> (pair, next state) weights
-    for i, sa in enumerate(mdp.pairs()):
-        branches = [(float(p), r, s_next) for p, r, s_next in mdp.transitions[sa] if p > 0]
-        total = sum(p for p, _, _ in branches)
-        for p, r, s_next in branches:
-            branch_weights.setdefault(r, np.zeros((n_pairs, n_states)))[i, s_next] += p / total
+    rewards = list(dict.fromkeys(r for row in mdp.branches.values() for _, r, _ in row))
     # Reward r sends index k to floor(r / grid + gamma * k) and the index above,
     # so [lo, hi] holds its own images once it holds the map's fixed interval
     # [y, x] / (1 - gamma), x and y the largest and smallest r / grid, with
     # x / (1 - gamma) < hi.  Widened by 1 / (1 - gamma) + 1e-6 steps on each side,
     # then rounded inward, it has over gamma + 1e-6 (1 - gamma) steps to spare for
     # rounding.  With 0, the start, added it spans ~1e4 + 2 / (1 - gamma) bins.
-    x, y = max(branch_weights) / grid, min(branch_weights) / grid
+    x, y = max(rewards) / grid, min(rewards) / grid
     lo = min(0, int(np.ceil((y - 1.0) / (1.0 - mdp.gamma) - 1e-6)))
     hi = max(0, int(np.floor((x + 1.0) / (1.0 - mdp.gamma) + 1e-6)))
-    width, n_rewards = hi - lo + 1, len(branch_weights)
+    width, n_rewards = hi - lo + 1, len(rewards)
     if n_pairs * width > _DENSE_ENTRIES:
-        return None
+        raise InvalidInput(f"a lattice window of {n_pairs} x {width} entries exceeds {_DENSE_ENTRIES}")
+    branch_weights = {r: np.zeros((n_pairs, n_states)) for r in rewards}  # (pair, next state)
+    for i, row in enumerate(mdp.branches.values()):
+        for p, r, s_next in row:
+            branch_weights[r][i, s_next] += p
     lattice = np.arange(lo, hi + 1) * grid
     rows, masses = [], []
-    for j, r in enumerate(branch_weights):
+    for j, r in enumerate(rewards):
         f = (r + mdp.gamma * lattice) / grid
         k = np.floor(f)
         right, k = f - k, k.astype(np.intp) - lo
@@ -304,32 +305,30 @@ def _lattice_operator(mdp: TabularMDP, pi: Policy, grid: float):
 
 
 def _solve_on_lattice(mdp: TabularMDP, pi: Policy, grid: float, tol: float, max_iters: int):
-    """The fixed-point solve on the lattice grid * Z.  Dense steps run up to
-    the one whose sup-W1 change is at most tol; an exact apply_bellman step
-    redoes it, and exact steps go on while their lattice residual exceeds
-    tol (from the zero table past _DENSE_ENTRIES).  max_iters counts both."""
+    """The fixed-point solve on the lattice grid * Z: one loop of dense steps
+    from the zero table.  The step whose sup-W1 change is at most tol is
+    redone by one exact apply_bellman step, scored against the same iterate
+    on the same window; the exact table is the result if its change is at
+    most tol too, and the loop goes on from it otherwise.  max_iters counts
+    every step."""
     _check_policy(mdp, pi)
-    operator = _lattice_operator(mdp, pi, grid)
-    table, residual, done = zero_table(mdp), np.inf, 0
-    if operator is not None:
-        lo, width, step = operator
-        pmfs = np.zeros((len(table), width))
-        pmfs[:, -lo] = 1.0
-        while done < max_iters:
-            nxt = step(pmfs)
-            change = float(_lattice_w1(nxt - pmfs, grid).max())
-            if change <= tol:
-                break
-            pmfs, residual, done = nxt, change, done + 1
-        for sa, row in zip(mdp.pairs(), pmfs):
-            k = np.flatnonzero(row)
-            table[sa] = Atomic._owned((k + lo) * grid, row[k])
-    for _ in range(done, max_iters):
-        nxt = apply_bellman(table, mdp, pi, grid=grid)
-        residual = _lattice_sup_w1(nxt, table, grid)
-        table = nxt
+    lo, width, step = _lattice_operator(mdp, pi, grid)
+    pmfs = np.zeros((mdp.n_states * mdp.n_actions, width))
+    pmfs[:, -lo] = 1.0
+    for _ in range(max_iters):
+        nxt = step(pmfs)
+        residual = float(_lattice_w1(nxt - pmfs, grid).max())
         if residual <= tol:
-            return table
+            table = {}
+            for sa, row in zip(mdp.pairs(), pmfs):
+                k = np.flatnonzero(row)
+                table[sa] = Atomic._owned((k + lo) * grid, row[k])
+            table = apply_bellman(table, mdp, pi, grid=grid)
+            nxt = _on_window(table, lo, width, grid)
+            residual = float(_lattice_w1(nxt - pmfs, grid).max())
+            if residual <= tol:
+                return table
+        pmfs = nxt
     raise NonConvergence(f"fixed point not reached in {max_iters} iterations", residual=residual)
 
 
@@ -342,16 +341,18 @@ def solve_return_fixed_point(
     """Iterate the Bellman operator from the zero table to its fixed point.
 
     Every step projects onto the lattice of grid h = 1e-4 times the return
-    span 2 * max|r| / (1 - gamma), which keeps atom counts bounded, and
-    stops when the supremum-W1 change, measured on that lattice, drops below
-    tol.  When every reward is 0 all atoms sit at 0, which a unit grid holds.
-    The result is within h / (2 (1 - gamma)) + gamma * tol / (1 - gamma) of the
+    span 2 * max|r| / (1 - gamma), r over the branches of positive
+    probability, which keeps atom counts bounded, and stops when the
+    supremum-W1 change, measured on that lattice, drops below tol.  When
+    every reward is 0 all atoms sit at 0, which a unit grid holds.  The
+    result is within h / (2 (1 - gamma)) + gamma * tol / (1 - gamma) of the
     true laws in sup-W1: a projection moves W1 by at most h / 2, and the
     projected operator is a gamma-contraction.
     """
     if not tol > 0:  # NaN included
         raise InvalidInput(f"tol must be positive, got {tol}")
-    rmax = max(abs(r) for branches in mdp.transitions.values() for _, r, _ in branches)
+    _check_counts(max_iters=max_iters)
+    rmax = max(abs(r) for row in mdp.branches.values() for _, r, _ in row)
     span = 2.0 * rmax / (1.0 - mdp.gamma)
     grid = 1e-4 * span if span > 0 else 1.0
     if not 0 < grid < np.inf:  # a span that overflows, or so small its grid underflows

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bellman import Policy, TabularMDP, _check_policy
+from .bellman import Policy, TabularMDP, _check_counts, _check_policy
 from .errors import InvalidInput, NonConvergence
 
 ROTATION_ANGLES = tuple(2.0 * np.pi * k / 5.0 for k in range(5))
@@ -172,8 +172,7 @@ def behavior_action(xs: np.ndarray, angle_idx: np.ndarray) -> np.ndarray:
 
 def lqr_collect(env: LQREnv, n: int, rng: np.random.Generator) -> Dataset:
     """n i.i.d. transitions under the 5-rotation behavior policy."""
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
+    _check_counts(n=n)
     xs = behavior_state(rng, n)
     angle_idx = rng.integers(0, 5, size=n)
     acts = behavior_action(xs, angle_idx)
@@ -258,8 +257,7 @@ def tabular_make_random(
     gamma: float = 0.9,
 ) -> TabularMDP:
     """Random MDP: Dirichlet-uniform rows over (reward, next-state) branches."""
-    if min(n_states, n_actions, reward_support_size) < 1:
-        raise InvalidInput("all counts must be >= 1")
+    _check_counts(n_states=n_states, n_actions=n_actions, reward_support_size=reward_support_size)
     rewards = rng.uniform(0.0, 1.0, size=reward_support_size)
     transitions = {}
     for s in range(n_states):
@@ -291,22 +289,19 @@ def tabular_collect(
     mdp: TabularMDP, behavior: Policy, n: int, rng: np.random.Generator
 ) -> Dataset:
     """Transitions with (s, a) ~ uniform states x behavior, then the MDP row."""
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
+    _check_counts(n=n)
     _check_policy(mdp, behavior)
     states = rng.integers(0, mdp.n_states, size=n)
     behavior_cdf = _choice_cdf(behavior.probs)
     actions = np.array(
         [int(behavior_cdf[s].searchsorted(rng.random(), side="right")) for s in states]
     )
-    branch_cdf = {sa: _choice_cdf([b[0] for b in row]) for sa, row in mdp.transitions.items()}
+    branch_cdf = {sa: _choice_cdf([p for p, _, _ in row]) for sa, row in mdp.branches.items()}
     rewards = np.empty(n)
     next_states = np.empty(n, dtype=int)
     for i, (s, a) in enumerate(zip(states, actions)):
-        branches = mdp.transitions[(s, a)]
         j = int(branch_cdf[(s, a)].searchsorted(rng.random(), side="right"))
-        rewards[i] = branches[j][1]
-        next_states[i] = branches[j][2]
+        _, rewards[i], next_states[i] = mdp.branches[(s, a)][j]
     return Dataset(states, actions, rewards, next_states)
 
 
@@ -318,13 +313,12 @@ def estimate_dpi_tabular(
     Horizon H ~ Geometric(1 - gamma) on {1, 2, ...}; the chain starts from
     (s, a) ~ uniform x behavior and follows pi for H - 1 steps.
     """
-    if n_points < 1:
-        raise InvalidInput("n_points must be >= 1")
+    _check_counts(n_points=n_points)
     _check_policy(mdp, behavior)
     _check_policy(mdp, pi)
     behavior_cdf = _choice_cdf(behavior.probs)
     pi_cdf = _choice_cdf(pi.probs)
-    branch_cdf = {sa: _choice_cdf([b[0] for b in row]) for sa, row in mdp.transitions.items()}
+    branch_cdf = {sa: _choice_cdf([p for p, _, _ in row]) for sa, row in mdp.branches.items()}
     out = []
     for _ in range(n_points):
         h = 1 if mdp.gamma == 0 else int(rng.geometric(1.0 - mdp.gamma))
@@ -332,7 +326,7 @@ def estimate_dpi_tabular(
         a = int(behavior_cdf[s].searchsorted(rng.random(), side="right"))
         for _ in range(h - 1):
             j = int(branch_cdf[(s, a)].searchsorted(rng.random(), side="right"))
-            s = mdp.transitions[(s, a)][j][2]
+            s = mdp.branches[(s, a)][j][2]
             a = int(pi_cdf[s].searchsorted(rng.random(), side="right"))
         out.append((s, a))
     return out
@@ -348,8 +342,7 @@ def estimate_dpi_lqr(env: LQREnv, n_points: int, rng: np.random.Generator):
     Returns (states, actions) arrays of shape (n_points, 2) with uniform
     weights 1/n_points.
     """
-    if n_points < 1:
-        raise InvalidInput("n_points must be >= 1")
+    _check_counts(n_points=n_points)
     horizons = rng.geometric(1.0 - env.gamma, size=n_points)
     x0 = behavior_state(rng, n_points)
     angle_idx = rng.integers(0, 5, size=n_points)

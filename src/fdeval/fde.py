@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import optimize
 
+from .bellman import _check_counts
 from .divergences import DivergenceSpec, closed_form_gaussian, closed_form_gaussian_dmu1
 from .envs import Dataset, LQREnv, LQRTheta, quadratic_features
 from .errors import InvalidInput, OptimizationFailure
@@ -46,8 +47,7 @@ def choose_t(n_total: int, gamma: float, c_divide: float = 5.0) -> int:
 
 def split_dataset(data: Dataset, t: int) -> list:
     """T folds in input order; the remainder goes to the last fold."""
-    if t < 1:
-        raise InvalidInput("T must be >= 1")
+    _check_counts(T=t)
     n = len(data)
     if n < t:
         raise InvalidInput(f"cannot split {n} records into {t} folds")

@@ -19,7 +19,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .bellman import Policy, backup_mixture, compact_atoms, solve_return_fixed_point, zero_table
+from .bellman import (
+    Policy, _check_counts, backup_mixture, compact_atoms, solve_return_fixed_point, zero_table
+)
 from .divergences import FDE_METHODS, DivergenceSpec
 from .envs import (
     LQREnv,
@@ -125,8 +127,12 @@ class ExperimentConfig:
                 unread.append(name)
         if unread:
             raise InvalidInput(f"the {self.experiment} experiment never reads {unread}")
-        if self.reps < 1 or not self.n_list or min(self.n_list) < 1 or self.workers < 1:
-            raise InvalidInput("reps, workers and every n must be >= 1, n_list nonempty")
+        if not self.n_list:
+            raise InvalidInput("n_list must be nonempty")
+        counts = ("reps", "workers", "dpi_points", "b_samples", "tabular_states", "tabular_actions")
+        _check_counts(**{k: getattr(self, k) for k in counts if getattr(self, k) is not None})
+        for n in self.n_list:
+            _check_counts(n=n)
         unknown = set(self.methods) - set(LQR_METHODS)
         if not self.methods or unknown:
             raise InvalidInput(f"unknown methods: {sorted(unknown)}")
@@ -134,11 +140,6 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise InvalidInput(f"{name} repeats an entry: {values}")
-        counts = (self.b_samples, self.dpi_points, self.tabular_states, self.tabular_actions)
-        if min(v for v in counts if v is not None) < 1:
-            raise InvalidInput(
-                "b_samples, dpi_points, tabular_states and tabular_actions must be >= 1"
-            )
         if self.tabular_gamma is not None and not 0 < self.tabular_gamma < 1:
             raise InvalidInput(f"tabular_gamma must lie in (0, 1), got {self.tabular_gamma}")
         for name in ("sigma_rbf", "sigma_lap", "c_divide"):

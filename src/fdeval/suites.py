@@ -130,9 +130,8 @@ def minimizer_suite(seed: int, mc_samples: int = 4000) -> dict:
     violations = []
     trials = 0
     for sa_index, (s, a) in enumerate(mdp.pairs()):
-        branches = [b for b in mdp.transitions[(s, a)] if b[0] > 0]
         backups = []
-        for prob, r, sp in branches:
+        for prob, r, sp in mdp.branches[(s, a)]:
             parts = [
                 (float(pi.probs[sp, ap]), _push_gmm(guess[(sp, ap)], r, gamma))
                 for ap in range(mdp.n_actions)
@@ -318,7 +317,7 @@ def _exact_deterministic_returns(mdp: TabularMDP, pi: Policy) -> dict:
     mat = np.eye(n)
     vec = np.empty(n)
     for sa in pairs:
-        (_, r, sp), = mdp.transitions[sa]
+        (_, r, sp), = mdp.branches[sa]
         ap = int(np.argmax(pi.probs[sp]))
         mat[index[sa], index[(sp, ap)]] -= mdp.gamma
         vec[index[sa]] = r

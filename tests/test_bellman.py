@@ -9,7 +9,6 @@ from fdeval import bellman
 from fdeval.bellman import (
     Policy,
     TabularMDP,
-    _lattice_sup_w1,
     apply_bellman,
     bellman_backup,
     compact_atoms,
@@ -17,14 +16,40 @@ from fdeval.bellman import (
     zero_table,
 )
 from fdeval.distributions import Atomic, GaussianMixture1D, mixture, push_forward
-from fdeval.envs import estimate_dpi_tabular, tabular_collect, tabular_make_random
+from fdeval.envs import (
+    LQREnv,
+    estimate_dpi_lqr,
+    estimate_dpi_tabular,
+    lqr_collect,
+    tabular_collect,
+    tabular_make_random,
+)
 from fdeval.errors import InvalidInput, NonConvergence
+from fdeval.fde import split_dataset
 from fdeval.metrics import ExtensionSpec, MetricSpec, metric_extension, wasserstein_1d
 
 
 def sup_w1(table1, table2):
     """Oracle for the lattice residual: the supremum extension of W1."""
     return metric_extension(MetricSpec("wasserstein"), ExtensionSpec("supremum"), table1, table2)
+
+
+def _lattice_sup_w1(table1, table2, grid):
+    """The solve's residual, as a reference: the largest W1 distance between
+    the two tables' laws at a shared index, for tables whose atoms all lie
+    on the lattice grid * Z.  Each pair goes onto its own index window by
+    bellman._on_window, as the certificate puts a table onto the solve's
+    window, and is scored by bellman._lattice_w1."""
+    if table1.keys() != table2.keys():
+        raise InvalidInput("tables must share the same index set")
+    worst = 0.0
+    for sa in table1:
+        pair = ({sa: table1[sa]}, {sa: table2[sa]})
+        k = np.rint(np.concatenate([t[sa].locations for t in pair]) / grid)
+        lo, width = int(k.min()), int(k.max() - k.min()) + 1
+        gap = bellman._on_window(pair[0], lo, width, grid) - bellman._on_window(pair[1], lo, width, grid)
+        worst = max(worst, float(bellman._lattice_w1(gap, grid).max()))
+    return worst
 
 
 def _mean(dist):
@@ -64,6 +89,46 @@ def test_mdp_validation():
     # a row outside pairs() used to pass unchecked, its next state 7 included
     with pytest.raises(InvalidInput, match=r"\(3, 0\)"):
         TabularMDP(1, 1, {(0, 0): ((1.0, 0.0, 0),), (3, 0): ((1.0, 0.0, 7),)}, 0.9)
+    # a pair used to raise IndexError, a string reward TypeError, and a
+    # branch of four entries passed
+    for branch in ((1.0, 0.5), (1.0, 0.5, 0, 7), 1.0):
+        with pytest.raises(InvalidInput, match="triples"):
+            TabularMDP(1, 1, {(0, 0): (branch,)}, 0.9)
+    for branch in ((1.0, "a", 0), ("1.0", 0.5, 0), (1.0, None, 0)):
+        with pytest.raises(InvalidInput, match="real numbers"):
+            TabularMDP(1, 1, {(0, 0): (branch,)}, 0.9)
+
+
+def test_branches_drop_zero_probability_and_normalize():
+    row = ((0.0, 9.0, 1), (0.25, 1.0, 0), (0.0, -3.0, 0), (0.75, 2.0, 1))
+    mdp = TabularMDP(2, 1, {(0, 0): row, (1, 0): ((1.0, 0.5, 0),)}, 0.9)
+    assert mdp.branches == {(0, 0): ((0.25, 1.0, 0), (0.75, 2.0, 1)), (1, 0): ((1.0, 0.5, 0),)}
+    # p / total, the total summed left to right over the kept branches
+    probs = (0.1, 0.2, 0.7 + 1e-13)
+    (kept,) = TabularMDP(1, 1, {(0, 0): tuple((p, 0.0, 0) for p in probs)}, 0.9).branches.values()
+    total = (0.1 + 0.2) + (0.7 + 1e-13)
+    assert [p for p, _, _ in kept] == [p / total for p in probs]
+
+
+def _with_unreachable_branches(mdp):
+    """The MDP with a p = 0 branch at reward 1000 before and after every row."""
+    transitions = {
+        sa: ((0.0, 1000.0, 0),) + tuple(row) + ((0.0, -1000.0, mdp.n_states - 1),)
+        for sa, row in mdp.transitions.items()
+    }
+    return TabularMDP(mdp.n_states, mdp.n_actions, transitions, mdp.gamma)
+
+
+def test_samplers_ignore_zero_probability_branches():
+    mdp = tabular_make_random(3, 2, 2, np.random.default_rng(4), gamma=0.8)
+    padded = _with_unreachable_branches(mdp)
+    pi = Policy(np.array([[0.3, 0.7], [1.0, 0.0], [0.5, 0.5]]))
+    behavior = Policy.uniform(3, 2)
+    out, ref = (tabular_collect(m, behavior, 500, np.random.default_rng(1)) for m in (padded, mdp))
+    for name in ("states", "actions", "rewards", "next_states"):
+        np.testing.assert_array_equal(getattr(out, name), getattr(ref, name))
+    draws = [estimate_dpi_tabular(m, behavior, pi, 500, np.random.default_rng(2)) for m in (padded, mdp)]
+    assert draws[0] == draws[1]
 
 
 # each of these used to pass its check, since NaN fails every comparison
@@ -388,7 +453,6 @@ def _apply_bellman_composed(table, mdp, pi, grid=None):
 def _tabular_fde_composed(data, mdp, pi, t_count):
     """Reference for harness._tabular_fde: the empirical mixture of each
     covered pair's composed sample backups."""
-    from fdeval.fde import split_dataset
     from fdeval.harness import _TABULAR_FIT_GRID
 
     table = zero_table(mdp)
@@ -579,6 +643,9 @@ def test_fixed_point_of_zero_rewards_is_a_point_mass_at_zero():
 
 
 _ONE_ROW = {(0, 0): ((1.0, 0.0, 0),)}
+_ONE_MDP = TabularMDP(1, 1, _ONE_ROW, 0.9)
+_ONE_PI = Policy.uniform(1, 1)
+_RNG = np.random.default_rng(0)
 
 
 # TabularMDP(0, 1, {}, 0.9) and (1, 0, ...) constructed, (1.5, 1, ...) raised
@@ -600,15 +667,42 @@ _ONE_ROW = {(0, 0): ((1.0, 0.0, 0),)}
     (lambda: Policy.deterministic([], 2), "policy table"),
     (lambda: Policy(np.zeros((0, 0))), "policy table"),
     (lambda: Policy(np.zeros((2, 0))), "policy table"),
+    # each of these raised TypeError
+    (lambda: tabular_make_random(2.0, 1, 2, _RNG), "n_states"),
+    (lambda: tabular_make_random(2, 1, 1.5, _RNG), "reward_support_size"),
+    (lambda: tabular_collect(_ONE_MDP, _ONE_PI, 2.5, _RNG), "n must"),
+    (lambda: estimate_dpi_tabular(_ONE_MDP, _ONE_PI, _ONE_PI, 2.5, _RNG), "n_points"),
+    (lambda: lqr_collect(LQREnv.default(), 2.5, _RNG), "n must"),
+    (lambda: estimate_dpi_lqr(LQREnv.default(), 2.5, _RNG), "n_points"),
+    (lambda: split_dataset(tabular_collect(_ONE_MDP, _ONE_PI, 4, _RNG), 2.5), "T must"),
+    (lambda: solve_return_fixed_point(_ONE_MDP, _ONE_PI, max_iters=2.5), "max_iters"),
 ], ids=[
     "mdp-0-states", "mdp-0-actions", "mdp-1.5-states", "mdp-True-states", "mdp-float-actions",
     "uniform-0-actions", "uniform-0-states", "uniform-float-states", "deterministic-2.5-actions",
     "deterministic-0-actions", "deterministic-empty-0-actions", "deterministic-empty",
-    "policy-0x0", "policy-2x0",
+    "policy-0x0", "policy-2x0", "random-mdp-float-states", "random-mdp-float-rewards",
+    "tabular-collect-2.5", "dpi-tabular-2.5", "lqr-collect-2.5", "dpi-lqr-2.5", "split-2.5",
+    "solve-max-iters-2.5",
 ])
 def test_empty_or_non_integer_shapes_are_rejected(build, match):
     with pytest.raises(InvalidInput, match=match):
         build()
+
+
+def test_unreachable_branches_leave_the_solve_unchanged():
+    # the grid rule read every branch, so the p = 0 branch at 1000 made the
+    # lattice step 2.0 instead of 1e-3, and one at 1e308 raised "lattice step"
+    reachable = {(0, 0): ((1.0, 0.5, 0),)}
+    ref = solve_return_fixed_point(TabularMDP(1, 1, reachable, 0.9), Policy.uniform(1, 1))
+    for far in (1000.0, 1e308):
+        mdp = TabularMDP(1, 1, {(0, 0): ((1.0, 0.5, 0), (0.0, far, 0))}, 0.9)
+        _assert_tables_bitwise_equal(solve_return_fixed_point(mdp, Policy.uniform(1, 1)), ref)
+    mdp = _random(2, 2, 0.9, 3)
+    pi = Policy.uniform(2, 2)
+    _assert_tables_bitwise_equal(
+        solve_return_fixed_point(_with_unreachable_branches(mdp), pi),
+        solve_return_fixed_point(mdp, pi),
+    )
 
 
 @pytest.mark.parametrize("reward", [1e308, 5e-324])
@@ -624,7 +718,7 @@ def test_solve_rejects_a_span_whose_lattice_step_overflows_or_underflows(reward)
 def _solve_grid(mdp):
     """The solve's lattice step, 1e-4 times the return span (1 at span 0),
     and the span."""
-    rmax = max(abs(r) for branches in mdp.transitions.values() for _, r, _ in branches)
+    rmax = max(abs(r) for branches in mdp.transitions.values() for p, r, _ in branches if p > 0)
     span = 2.0 * rmax / (1.0 - mdp.gamma)
     return (1e-4 * span if span > 0 else 1.0), span
 
@@ -729,14 +823,6 @@ def test_lattice_solve_matches_the_atomic_reference(case):
     assert sup_w1(table, ref) <= 1e-13 * (1.0 + span)
 
 
-def _table_pmfs(table, pairs, lo, width, grid):
-    """A lattice table as (pair, index) pmf rows over the window from lo."""
-    return np.array([
-        np.bincount(np.rint(table[sa].locations / grid).astype(np.intp) - lo, table[sa].masses, width)
-        for sa in pairs
-    ])
-
-
 # Atomic accepts masses that sum to 1 within 1e-12: the exact step rescales
 # them to 1, and so must the lattice step
 @settings(max_examples=100, deadline=None)
@@ -752,8 +838,8 @@ def test_one_lattice_step_is_one_exact_step(case, seed, defect):
         masses = rng.dirichlet(np.ones(k.size)) * rng.integers(0, 2, size=k.size)
         masses = masses if masses.sum() > 0 else np.eye(k.size)[0]
         table[sa] = Atomic((k + lo) * grid, masses / masses.sum() * (1.0 + defect))
-    pmfs = _table_pmfs(table, mdp.pairs(), lo, width, grid)
-    exact = _table_pmfs(apply_bellman(table, mdp, pi, grid=grid), mdp.pairs(), lo, width, grid)
+    pmfs = bellman._on_window(table, lo, width, grid)
+    exact = bellman._on_window(apply_bellman(table, mdp, pi, grid=grid), lo, width, grid)
     np.testing.assert_allclose(step(pmfs), exact, rtol=1e-13, atol=1e-300)
 
 
@@ -789,30 +875,39 @@ def test_max_iters_counts_dense_and_exact_steps(monkeypatch):
         _solve_atomic(mdp, pi, grid, max_iters=steps - 1)
     assert caught.value.residual > 1e-8
     assert caught.value.residual == pytest.approx(expected.value.residual, rel=1e-9)
-    # an exact step whose residual exceeds tol is followed by another, and
-    # that step counts too
-    residuals = []
-    original = bellman._lattice_sup_w1
+    # a rejected certificate counts as a step, and the loop goes on from the
+    # exact table: the score right after the first exact step reads inf
+    applied, scored = [], []
+    apply, lattice_w1 = bellman.apply_bellman, bellman._lattice_w1
 
-    def reject_the_first(*args):
-        residuals.append(original(*args))
-        return np.inf if len(residuals) == 1 else residuals[-1]
+    def counted_apply(*args, **kwargs):
+        applied.append(len(scored))
+        return apply(*args, **kwargs)
 
-    monkeypatch.setattr(bellman, "_lattice_sup_w1", reject_the_first)
+    def reject_the_first_certificate(gap, grid):
+        scored.append(gap)
+        w1 = lattice_w1(gap, grid)
+        return w1 + np.inf if applied == [len(scored) - 1] else w1
+
+    monkeypatch.setattr(bellman, "apply_bellman", counted_apply)
+    monkeypatch.setattr(bellman, "_lattice_w1", reject_the_first_certificate)
     with pytest.raises(NonConvergence):
         solve_return_fixed_point(mdp, pi, max_iters=steps)
-    residuals.clear()
+    assert len(applied) == 1
+    applied.clear()
+    scored.clear()
     table = solve_return_fixed_point(mdp, pi, max_iters=steps + 1)
-    assert len(residuals) == 2
+    assert len(applied) == 2
     assert sup_w1(table, ref) <= 1e-8
 
 
-def test_a_window_past_the_dense_limit_takes_exact_steps(monkeypatch):
-    mdp = _random(2, 2, 0.5, 3)
-    pi = Policy.uniform(2, 2)
-    ref, _ = _solve_atomic(mdp, pi, _solve_grid(mdp)[0])
+def test_a_window_past_the_dense_limit_is_rejected(monkeypatch):
+    applied = []
+    monkeypatch.setattr(bellman, "apply_bellman", lambda *a, **kw: applied.append(a))
     monkeypatch.setattr(bellman, "_DENSE_ENTRIES", 0)
-    _assert_tables_bitwise_equal(solve_return_fixed_point(mdp, pi), ref)
+    with pytest.raises(InvalidInput, match="lattice window of 4 x"):
+        solve_return_fixed_point(_random(2, 2, 0.5, 3), Policy.uniform(2, 2))
+    assert not applied
 
 
 # --- the truth's own error --------------------------------------------------

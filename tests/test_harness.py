@@ -51,6 +51,24 @@ def test_config_validation():
             ExperimentConfig(**bad)
 
 
+# each float used to pass the config and abort run_experiment with a
+# TypeError from inside a cell, e.g. "seed must be integer" for n = 300.5
+@pytest.mark.parametrize("setting", [
+    dict(reps=2.5),
+    dict(reps=True),
+    dict(n_list=(300.5,)),
+    dict(n_list=(60, True)),
+    dict(workers=1.0),
+    dict(dpi_points=1.5),
+    dict(b_samples=2.0),
+    dict(experiment="tabular", tabular_states=2.5),
+    dict(experiment="tabular", tabular_actions=np.float64(2.0)),
+], ids=repr)
+def test_counts_must_be_integers(setting):
+    with pytest.raises(InvalidInput, match="must be an integer"):
+        ExperimentConfig(**setting)
+
+
 @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan")])
 @pytest.mark.parametrize("key", ["sigma_rbf", "sigma_lap"])
 def test_kernel_bandwidths_must_be_positive(key, value):
