@@ -14,8 +14,10 @@ times the summed |CDF difference|.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from numbers import Real
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -44,16 +46,18 @@ def _check_counts(**counts) -> None:
 class TabularMDP:
     """Finite MDP with per-(s, a) transition branches (prob, reward, next_state).
 
-    ``branches`` holds each pair's branches of positive probability once
-    parsed, as (p / total, reward, next_state), with ``total`` the sum of those
-    p taken left to right; every reader of the dynamics reads it.
+    ``transitions`` is kept as a read-only view of a private copy, so the
+    dynamics cannot change after they were checked.  ``branches``, also
+    read-only, holds each pair's branches of positive probability once parsed,
+    as (p / total, reward, next_state), with ``total`` the sum of those p taken
+    left to right; every reader of the dynamics reads it.
     """
 
     n_states: int
     n_actions: int
-    transitions: dict  # (s, a) -> tuple of (prob, reward, next_state)
+    transitions: Mapping  # (s, a) -> tuple of (prob, reward, next_state)
     gamma: float
-    branches: dict = field(init=False, repr=False, compare=False)
+    branches: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_counts(n_states=self.n_states, n_actions=self.n_actions)
@@ -81,7 +85,12 @@ class TabularMDP:
             kept = [(float(p), r, s_next) for p, r, s_next in row if p > 0]
             total = sum(p for p, _, _ in kept)
             parsed[sa] = tuple((p / total, r, s_next) for p, r, s_next in kept)
-        object.__setattr__(self, "branches", parsed)
+        frozen = {sa: tuple(map(tuple, row)) for sa, row in self.transitions.items()}
+        object.__setattr__(self, "transitions", MappingProxyType(frozen))
+        object.__setattr__(self, "branches", MappingProxyType(parsed))
+
+    def __reduce__(self):  # a mappingproxy does not pickle; its copy does
+        return TabularMDP, (self.n_states, self.n_actions, dict(self.transitions), self.gamma)
 
     def pairs(self):
         return [(s, a) for s in range(self.n_states) for a in range(self.n_actions)]

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
+from .bellman import _check_counts
 from .distributions import Atomic, GaussianMixture1D
 from .errors import InvalidInput
 
@@ -157,6 +158,27 @@ def closed_form_gaussian_dmu1(spec: DivergenceSpec, mu1, var1, mu2, var2):
     return delta / var1  # kl
 
 
+def closed_form_gaussian_d2mu1(spec: DivergenceSpec, mu1, var1, mu2, var2):
+    """d^2/dmu1^2 of closed_form_gaussian: the curvature in the model mean."""
+    delta = np.asarray(mu1, dtype=float) - np.asarray(mu2, dtype=float)
+    var1 = np.asarray(var1, dtype=float)
+    s = var1 + np.asarray(var2, dtype=float)
+    if spec.kind == "kl":
+        return np.broadcast_to(1.0 / var1, np.broadcast(delta, s).shape)
+    if spec.kind == "rbf":
+        c = 4.0 * spec.sigma**2 + 2.0 * s
+        return -2.0 * gaussian_k0(spec, delta, s) * ((2.0 * delta / c) ** 2 - 2.0 / c)
+    sd = np.sqrt(s)
+    # N(delta; 0, s): the density term of the remaining kinds
+    density = np.exp(-(delta**2) / (2.0 * s)) / (sd * math.sqrt(2.0 * math.pi))
+    if spec.kind in ("cramer", "energy"):
+        return 4.0 * _MMD_WEIGHT[spec.kind] * density
+    if spec.kind == "laplace":
+        t1, t2 = _laplace_terms(delta, s, sd, spec.sigma)
+        return -2.0 * ((t1 + t2) / spec.sigma - 2.0 * density) / spec.sigma
+    return 2.0 * density / s * (1.0 - delta**2 / s)  # pdf_l2
+
+
 def divergence_gmm(
     spec: DivergenceSpec,
     p: GaussianMixture1D,
@@ -169,8 +191,7 @@ def divergence_gmm(
     The kernel kinds and pdf_l2 are exact pairwise-component sums; kl is a
     Monte-Carlo estimate with ``mc_samples`` draws per target component.
     """
-    if mc_samples < 1:
-        raise InvalidInput(f"mc_samples must be >= 1, got {mc_samples}")
+    _check_counts(mc_samples=mc_samples)
     w1, m1, v1 = p.weights, p.means, p.variances
     w2, m2, v2 = q.weights, q.means, q.variances
 

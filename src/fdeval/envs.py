@@ -336,24 +336,24 @@ def estimate_dpi_lqr(env: LQREnv, n_points: int, rng: np.random.Generator):
     """Discounted-occupancy sample for the LQR target policy a = Kx.
 
     Horizon H ~ Geometric(1 - gamma) on {1, 2, ...}; each point starts from
-    the behavior law (state and rotation action) and follows a = Kx for
-    H - 1 steps.  All points advance together, one step at a time.
+    the behavior law (state x0 and rotation action a0) and follows a = Kx for
+    m = H - 1 steps.  A point with m >= 1 ends at
+    x = (A + BK)^(m - 1) (A x0 + B a0), from one table of powers of A + BK.
 
     Returns (states, actions) arrays of shape (n_points, 2) with uniform
     weights 1/n_points.
     """
     _check_counts(n_points=n_points)
-    horizons = rng.geometric(1.0 - env.gamma, size=n_points)
-    x0 = behavior_state(rng, n_points)
-    angle_idx = rng.integers(0, 5, size=n_points)
-    # longest horizon first, so the points still moving at step k are a prefix
-    order = np.argsort(-horizons, kind="stable")
-    steps = horizons[order] - 1
-    xs = x0[order]
-    acts = behavior_action(xs, angle_idx[order])
-    for k in range(int(steps[0])):
-        live = np.count_nonzero(steps > k)
-        xs[:live] = xs[:live] @ env.a_mat.T + acts[:live] @ env.b_mat.T
-        acts[:live] = xs[:live] @ env.k_gain.T
-    inverse = np.argsort(order)
-    return xs[inverse], acts[inverse]
+    steps = rng.geometric(1.0 - env.gamma, size=n_points) - 1
+    xs = behavior_state(rng, n_points)
+    acts = behavior_action(xs, rng.integers(0, 5, size=n_points))
+    moved = steps > 0
+    if moved.any():
+        closed = env.a_mat + env.b_mat @ env.k_gain
+        powers = np.eye(2)[None]  # powers[j] = closed^j
+        while len(powers) < steps.max():
+            powers = np.concatenate([powers, powers @ (powers[-1] @ closed)])
+        first = xs[moved] @ env.a_mat.T + acts[moved] @ env.b_mat.T
+        xs[moved] = np.einsum("nij,nj->ni", powers[steps[moved] - 1], first)
+        acts[moved] = xs[moved] @ env.k_gain.T
+    return xs, acts

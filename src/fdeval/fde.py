@@ -3,12 +3,15 @@
 Each iteration fits the quadratic-mean Gaussian model to the single-sample
 Bellman backups of one data fold.  The known-noise variance is held fixed,
 so the fit is over the 12 matrix entries of (M1, M2, M3) only, and every
-divergence is a scalar loss of the mean residual, minimized by L-BFGS-B with
-its analytic gradient.  Each fold's L-BFGS-B run starts from the anchored
-least-squares point: the previous iterate (the warm start) plus the
-minimum-norm least-squares fit of its residual.  That point is the exact
-minimizer for the KL loss and lies next to the minimizer for the bounded
-losses, where L-BFGS-B from the warm start can stall.
+divergence is a scalar loss rho of the mean residual: an M-estimation
+problem.  Each fold's fit starts from the anchored least-squares point: the
+previous iterate (the warm start) plus the minimum-norm least-squares fit of
+its residual.  That point is the exact minimizer for the KL loss.  For the
+bounded losses a few Newton steps follow, each one weighted least-squares
+solve with weights rho'' (iteratively reweighted least squares) and each kept
+only if it lowers the objective.  One L-BFGS-B run with the analytic
+gradient then certifies the end point; from a Newton point it stops after
+one evaluation.
 """
 
 from __future__ import annotations
@@ -20,11 +23,18 @@ import numpy as np
 from scipy import optimize
 
 from .bellman import _check_counts
-from .divergences import DivergenceSpec, closed_form_gaussian, closed_form_gaussian_dmu1
+from .divergences import (
+    DivergenceSpec,
+    closed_form_gaussian,
+    closed_form_gaussian_d2mu1,
+    closed_form_gaussian_dmu1,
+)
 from .envs import Dataset, LQREnv, LQRTheta, quadratic_features
 from .errors import InvalidInput, OptimizationFailure
 
 _KL = DivergenceSpec("kl")
+_LBFGSB_OPTIONS = {"maxfun": 2000, "gtol": 1e-8, "ftol": 1e-14}
+_NEWTON_STEPS = 4
 
 
 def choose_t(n_total: int, gamma: float, c_divide: float = 5.0) -> int:
@@ -80,29 +90,80 @@ class _FoldProblem:
         )
 
 
+def _fold_args(problem: _FoldProblem, vec: np.ndarray):
+    return problem.features @ vec, problem.model_var, problem.target_means, problem.target_var
+
+
+def _objective(problem: _FoldProblem, spec: DivergenceSpec, vec: np.ndarray) -> float:
+    """Mean closed-form divergence over the fold."""
+    return float(np.mean(closed_form_gaussian(spec, *_fold_args(problem, vec))))
+
+
 def _objective_and_grad(problem: _FoldProblem, spec: DivergenceSpec, vec: np.ndarray):
     """Mean closed-form divergence over the fold, and its gradient in theta."""
-    args = (problem.features @ vec, problem.model_var, problem.target_means, problem.target_var)
+    args = _fold_args(problem, vec)
     dmu = closed_form_gaussian_dmu1(spec, *args)
     grad = problem.features.T @ dmu / len(dmu)
     return float(np.mean(closed_form_gaussian(spec, *args))), grad
 
 
+def _live_columns(problem: _FoldProblem) -> np.ndarray:
+    """The feature columns that are not identically zero."""
+    return np.any(problem.features != 0, axis=0)
+
+
 def _least_squares_point(problem: _FoldProblem, start: np.ndarray) -> np.ndarray:
     """The warm start plus the minimum-norm least-squares fit of its residual,
-    over the feature columns that are not identically zero: a coordinate with
-    no feature stays exactly at the warm start."""
-    live = np.any(problem.features != 0, axis=0)
+    over the live feature columns: a coordinate with no feature stays exactly
+    at the warm start."""
+    live = _live_columns(problem)
     residual = problem.target_means - problem.features @ start
     point = start.copy()
     point[live] += np.linalg.lstsq(problem.features[:, live], residual, rcond=None)[0]
     return point
 
 
+def _newton_point(problem: _FoldProblem, spec: DivergenceSpec, point: np.ndarray) -> np.ndarray:
+    """Newton steps on the M-estimation loss mean rho(features @ theta - targets).
+
+    Each step is one iteratively reweighted least-squares solve (Holland &
+    Welsch 1977): the minimum-norm fit, over the live columns, of the
+    per-record Newton step -rho'/rho'' with weights rho''.  A step is kept only
+    if it lowers the objective.  The loop stops at the first rejected step, at
+    a gradient that L-BFGS-B's gtol already accepts, at a non-positive rho'',
+    or after _NEWTON_STEPS steps.
+    """
+    live = _live_columns(problem)
+    obj = _objective(problem, spec, point)
+    for _ in range(_NEWTON_STEPS):
+        args = _fold_args(problem, point)
+        d1 = closed_form_gaussian_dmu1(spec, *args)
+        if np.max(np.abs(problem.features.T @ d1)) <= _LBFGSB_OPTIONS["gtol"] * len(d1):
+            break
+        d2 = closed_form_gaussian_d2mu1(spec, *args)
+        if not np.all(d2 > 0):
+            break
+        root = np.sqrt(d2)
+        trial = point.copy()
+        trial[live] += np.linalg.lstsq(
+            problem.features[:, live] * root[:, None], -d1 / root, rcond=None
+        )[0]
+        trial_obj = _objective(problem, spec, trial)
+        if not trial_obj < obj:
+            break
+        point, obj = trial, trial_obj
+    return point
+
+
 def _minimize_fold(problem: _FoldProblem, spec: DivergenceSpec, start: np.ndarray,
                    iteration: int):
-    """L-BFGS-B from the anchored least-squares point; returns (theta vector,
-    objective, warm-start objective, whether L-BFGS-B reported success).
+    """Newton steps from the anchored least-squares point, then one L-BFGS-B
+    run from there; returns (theta vector, objective, warm-start objective,
+    whether L-BFGS-B reported success).
+
+    The least-squares point is the exact minimizer of the KL loss, so kl (and
+    fle, which fits kl) takes no Newton step.  L-BFGS-B certifies the end
+    point: from a Newton point it stops after one evaluation.
 
     Descent contract: the fit never ends above its warm start.
     """
@@ -110,10 +171,10 @@ def _minimize_fold(problem: _FoldProblem, spec: DivergenceSpec, start: np.ndarra
         return _objective_and_grad(problem, spec, vec)
 
     start_obj = fun_jac(start)[0]
-    result = optimize.minimize(
-        fun_jac, _least_squares_point(problem, start), jac=True, method="L-BFGS-B",
-        options={"maxfun": 2000, "gtol": 1e-8, "ftol": 1e-14},
-    )
+    point = _least_squares_point(problem, start)
+    if spec.kind != "kl":
+        point = _newton_point(problem, spec, point)
+    result = optimize.minimize(fun_jac, point, jac=True, method="L-BFGS-B", options=_LBFGSB_OPTIONS)
     if not np.isfinite(result.fun):
         raise OptimizationFailure("non-finite objective", iteration=iteration)
     if start_obj < result.fun:
@@ -172,8 +233,7 @@ def fle_run(data: Dataset, env: LQREnv, t_count: int, rng: np.random.Generator,
     log-likelihood of the draws is the KL objective with the draws as target
     means, up to a constant, so the fit is the FDE fit with the KL kind.
     """
-    if mc_samples < 1:
-        raise InvalidInput("mc_samples must be >= 1")
+    _check_counts(mc_samples=mc_samples)
 
     def draw(problem: _FoldProblem) -> _FoldProblem:
         draws = rng.normal(

@@ -1,5 +1,7 @@
 """Tests for the exact tabular distributional Bellman machinery."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -108,6 +110,23 @@ def test_branches_drop_zero_probability_and_normalize():
     (kept,) = TabularMDP(1, 1, {(0, 0): tuple((p, 0.0, 0) for p in probs)}, 0.9).branches.values()
     total = (0.1 + 0.2) + (0.7 + 1e-13)
     assert [p for p, _, _ in kept] == [p / total for p in probs]
+
+
+def test_dynamics_cannot_be_edited_after_construction():
+    """An edit of the transitions used to pass unchecked and unseen: the solve
+    kept reading the branches parsed at construction (mean 5.0, not 50)."""
+    rows = {(0, 0): [[1.0, 0.5, 0]]}
+    mdp = TabularMDP(1, 1, rows, 0.9)
+    with pytest.raises(TypeError):
+        mdp.transitions[(0, 0)] = ((1.0, 5.0, 0),)
+    with pytest.raises(TypeError):
+        mdp.branches[(0, 0)] = ((1.0, 5.0, 0),)
+    # the caller's own rows stay theirs: editing them leaves the MDP as built
+    rows[(0, 0)][0][1] = 5.0
+    rows[(1, 0)] = [[1.0, 0.0, 7]]
+    assert mdp.transitions == {(0, 0): ((1.0, 0.5, 0),)}
+    assert _mean(solve_return_fixed_point(mdp, Policy.uniform(1, 1))[(0, 0)]) == pytest.approx(5.0)
+    assert pickle.loads(pickle.dumps(mdp)) == mdp
 
 
 def _with_unreachable_branches(mdp):

@@ -12,6 +12,7 @@ from fdeval.divergences import (
     FDE_METHODS,
     DivergenceSpec,
     closed_form_gaussian,
+    closed_form_gaussian_d2mu1,
     closed_form_gaussian_dmu1,
     divergence_gmm,
     energy_mmd2_atomic,
@@ -81,6 +82,24 @@ def test_closed_form_dmu1_matches_central_difference(method, delta):
         - closed_form_gaussian(spec, delta - h, v1, 0.0, v2)
     ) / (2 * h)
     assert closed_form_gaussian_dmu1(spec, delta, v1, 0.0, v2) == pytest.approx(
+        fd, rel=1e-6, abs=1e-10
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(method=st.sampled_from(FDE_METHODS), delta=st.floats(-60.0, 60.0))
+def test_closed_form_d2mu1_matches_central_difference(method, delta):
+    """rho''(delta), the Newton weight of the LQR fold fit, against a central
+    difference of rho' in the model mean, at the two variances of the fit."""
+    env = LQREnv.default()
+    v1, v2 = env.return_variance, env.gamma**2 * env.return_variance
+    spec = DivergenceSpec(method)
+    h = 1e-3
+    fd = (
+        closed_form_gaussian_dmu1(spec, delta + h, v1, 0.0, v2)
+        - closed_form_gaussian_dmu1(spec, delta - h, v1, 0.0, v2)
+    ) / (2 * h)
+    assert closed_form_gaussian_d2mu1(spec, delta, v1, 0.0, v2) == pytest.approx(
         fd, rel=1e-6, abs=1e-10
     )
 
@@ -267,6 +286,14 @@ def test_specs_reject_fields_they_never_read(build, args, kwargs):
     extension.  Any other value is rejected rather than ignored."""
     with pytest.raises(InvalidInput):
         build(*args, **kwargs)
+
+
+@pytest.mark.parametrize("mc_samples", [2.5, True, 0])
+def test_mixture_kl_sample_count_must_be_an_integer(mc_samples):
+    """2.5 used to escape from the normal draw as a TypeError, and True ran
+    as one draw per component."""
+    with pytest.raises(InvalidInput, match="mc_samples"):
+        divergence_gmm(DivergenceSpec("kl"), _UNIT, _UNIT, np.random.default_rng(0), mc_samples)
 
 
 def test_spec_defaults_are_the_bandwidth_and_order_one():

@@ -315,19 +315,34 @@ def _estimate_dpi_lqr_loop(env, n_points, rng):
     return xs, acts
 
 
+# A + BK of the default env is diagonal, so it cannot tell a power's operand
+# order apart; this one is stable (spectral radius ~0.62) with A, B and K all
+# non-diagonal.
+_NON_DIAGONAL_DYNAMICS = (
+    np.array([[0.5, 0.3], [-0.2, 0.7]]),
+    np.array([[0.3, 0.1], [0.2, -0.4]]),
+    np.array([[0.2, -0.5], [0.4, 0.1]]),
+)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_points=st.integers(1, 200),
     gamma=st.sampled_from((0.99, 0.9, 0.5)),
+    non_diagonal=st.booleans(),
 )
-@example(seed=0, n_points=1, gamma=0.99)
-@example(seed=1, n_points=2, gamma=0.99)
-@example(seed=2, n_points=1000, gamma=0.99)
-@example(seed=3, n_points=1000, gamma=1e-12)  # every horizon is 1
-def test_dpi_lqr_matches_per_point_loop(seed, n_points, gamma):
+@example(seed=0, n_points=1, gamma=0.99, non_diagonal=False)
+@example(seed=1, n_points=2, gamma=0.99, non_diagonal=False)
+@example(seed=2, n_points=1000, gamma=0.99, non_diagonal=False)
+@example(seed=2, n_points=1000, gamma=0.99, non_diagonal=True)
+@example(seed=3, n_points=1000, gamma=1e-12, non_diagonal=False)  # every horizon is 1
+def test_dpi_lqr_matches_per_point_loop(seed, n_points, gamma, non_diagonal):
     base = LQREnv.default()
-    env = LQREnv(base.a_mat, base.b_mat, base.q_mat, base.r_mat, base.k_gain, base.sigma0, gamma)
+    a_mat, b_mat, k_gain = (
+        _NON_DIAGONAL_DYNAMICS if non_diagonal else (base.a_mat, base.b_mat, base.k_gain)
+    )
+    env = LQREnv(a_mat, b_mat, base.q_mat, base.r_mat, k_gain, base.sigma0, gamma)
     xs, acts = estimate_dpi_lqr(env, n_points, np.random.default_rng(seed))
     ref_xs, ref_acts = _estimate_dpi_lqr_loop(env, n_points, np.random.default_rng(seed))
     np.testing.assert_allclose(xs, ref_xs, rtol=0, atol=1e-12)

@@ -1,9 +1,13 @@
 """Tests for T-selection, data splitting and the fitted-evaluation engine."""
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import optimize
 
+from fdeval import fde
 from fdeval.divergences import FDE_METHODS, DivergenceSpec, closed_form_gaussian
 from fdeval.envs import (
     Dataset,
@@ -17,6 +21,7 @@ from fdeval.envs import (
 from fdeval.errors import InvalidInput, OptimizationFailure
 from fdeval.fde import (
     _FoldProblem,
+    _least_squares_point,
     _minimize_fold,
     _objective_and_grad,
     choose_t,
@@ -265,6 +270,13 @@ def test_fle_rejects_bad_b():
         fle_run(_dummy_dataset(5), env, 1, np.random.default_rng(0), mc_samples=0)
 
 
+@pytest.mark.parametrize("mc_samples", [2.5, True, 0])
+def test_fle_sample_count_must_be_an_integer(mc_samples):
+    """np.repeat truncated 2.5 to 2 draws per record, and True ran as 1."""
+    with pytest.raises(InvalidInput, match="mc_samples"):
+        fle_run(_dummy_dataset(5), LQREnv.default(), 1, np.random.default_rng(0), mc_samples)
+
+
 def test_optimization_failure_on_nonfinite_data():
     env = LQREnv.default()
     data = _dummy_dataset(10, seed=15)
@@ -276,16 +288,30 @@ def test_optimization_failure_on_nonfinite_data():
         fde_run(broken, env, DivergenceSpec("kl"), 1)
 
 
-def test_trace_records_folds_whose_optimizer_exit_failed():
-    """L-BFGS-B reports failure on the last fold of the energy fit of the
-    lqr-sweep benchmark's master seed 5 input (n = 300, rep 0); the trace
-    names that fold, and the well-posed KL fit of the same data names none."""
+def _optimizer_failing_on_call(k):
+    """Stands in for scipy.optimize inside fdeval.fde: the k-th minimize call
+    returns its real result marked as failed."""
+    calls = itertools.count(1)
+
+    def minimize(*args, **kwargs):
+        result = optimize.minimize(*args, **kwargs)
+        if next(calls) == k:
+            result.success = False
+        return result
+
+    return SimpleNamespace(minimize=minimize)
+
+
+def test_trace_records_folds_whose_optimizer_exit_failed(monkeypatch):
+    """The last fold's L-BFGS-B exit is made to report failure in the energy
+    fit of the lqr-sweep benchmark's master seed 5 input (n = 300, rep 0); the
+    trace names that fold, and the KL fit of the same data names none."""
     env = LQREnv.default()
     data = _sweep_data(env, 5, 300)
     t_count = choose_t(300, env.gamma)
+    monkeypatch.setattr(fde, "optimize", _optimizer_failing_on_call(t_count))
     _, energy = fde_run(data, env, DivergenceSpec("energy"), t_count)
-    assert energy.not_converged_folds
-    assert all(1 <= t <= t_count for t in energy.not_converged_folds)
+    assert energy.not_converged_folds == [t_count]
     _, kl = fde_run(data, env, DivergenceSpec("kl"), t_count)
     assert kl.not_converged_folds == []
 
@@ -296,24 +322,21 @@ def _sweep_data(env, master_seed, n):
     return lqr_collect(env, n, np.random.default_rng(seed))
 
 
-def _warm_start_fit(problem, spec, start):
-    """The slow reference: L-BFGS-B from the warm start alone, never ending
-    above that start."""
+def _lbfgsb_fit(problem, spec, start, x0):
+    """L-BFGS-B from x0 alone, never ending above the warm start."""
     def fun_jac(vec):
         return _objective_and_grad(problem, spec, vec)
 
     result = optimize.minimize(
-        fun_jac, start, jac=True, method="L-BFGS-B",
+        fun_jac, x0, jac=True, method="L-BFGS-B",
         options={"maxfun": 2000, "gtol": 1e-8, "ftol": 1e-14},
     )
     return min(float(result.fun), fun_jac(start)[0])
 
 
-@pytest.mark.parametrize("master_seed", [0, 1, 2])
-def test_fold_fit_is_no_worse_than_warm_started_lbfgs(master_seed):
-    """On every fold of a sweep cell, the fit started from the least-squares
-    point ends no higher than L-BFGS-B from the warm start alone; a KL fold
-    ends at the least-squares fit."""
+def _sweep_fold_fits(master_seed):
+    """Every fold fit of a sweep cell, both n and every kind: yields (kind,
+    n, fold index, problem, warm start, end point, end objective)."""
     env = LQREnv.default()
     for n in (300, 1000):
         folds = split_dataset(_sweep_data(env, master_seed, n), choose_t(n, env.gamma))
@@ -322,11 +345,31 @@ def test_fold_fit_is_no_worse_than_warm_started_lbfgs(master_seed):
             vec = LQRTheta.zero().to_vector()
             for t, fold in enumerate(folds, start=1):
                 problem = _FoldProblem.from_fold(fold, env, LQRTheta.from_vector(vec))
-                reference = _warm_start_fit(problem, spec, vec)
-                vec, obj, *_ = _minimize_fold(problem, spec, vec, t)
-                assert obj <= reference + 1e-8, (kind, n, t)
-                if kind == "kl":
-                    coef = np.linalg.lstsq(problem.features, problem.target_means, rcond=None)[0]
-                    np.testing.assert_allclose(
-                        problem.features @ vec, problem.features @ coef, rtol=0, atol=1e-9
-                    )
+                start = vec
+                vec, obj, *_ = _minimize_fold(problem, spec, start, t)
+                yield spec, n, t, problem, start, vec, obj
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2])
+def test_fold_fit_is_no_worse_than_warm_started_lbfgs(master_seed):
+    """On every fold of a sweep cell, the fit started from the least-squares
+    point ends no higher than L-BFGS-B from the warm start alone; a KL fold
+    ends at the least-squares fit."""
+    for spec, n, t, problem, start, vec, obj in _sweep_fold_fits(master_seed):
+        reference = _lbfgsb_fit(problem, spec, start, start)
+        assert obj <= reference + 1e-8, (spec.kind, n, t)
+        if spec.kind == "kl":
+            coef = np.linalg.lstsq(problem.features, problem.target_means, rcond=None)[0]
+            np.testing.assert_allclose(
+                problem.features @ vec, problem.features @ coef, rtol=0, atol=1e-9
+            )
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2])
+def test_fold_fit_is_no_worse_than_lbfgs_from_the_least_squares_point(master_seed):
+    """The fit that the Newton steps replaced, L-BFGS-B from the anchored
+    least-squares point, is the reference: on every fold of a sweep cell the
+    Newton start ends no higher, to 1e-12 relative."""
+    for spec, n, t, problem, start, _, obj in _sweep_fold_fits(master_seed):
+        reference = _lbfgsb_fit(problem, spec, start, _least_squares_point(problem, start))
+        assert obj <= reference + 1e-12 * abs(reference), (spec.kind, n, t)

@@ -14,13 +14,13 @@ from fdeval.harness import ExperimentConfig, run_experiment
 from fdeval.metrics import wasserstein_1d
 
 LQR_SEED_3_N_300 = {
-    "cramer": 4.421848215794151,
-    "energy": 4.421848655414638,
+    "cramer": 4.424484620636884,
+    "energy": 4.424484579955222,
     "fle": 26.137587271455786,
     "kl": 4.421668771104279,
-    "laplace": 4.421584394510143,
-    "pdf_l2": 4.421591306084729,
-    "rbf": 4.4215913567806755,
+    "laplace": 4.422257426490715,
+    "pdf_l2": 4.4222695633695235,
+    "rbf": 4.429835539616195,
 }
 TABULAR_2X1_SEED_3_N_300 = 6.827727556358773
 # two actions, so the policy's mixing order reaches the score

@@ -2,17 +2,22 @@
 
 import csv
 import dataclasses
+import itertools
 import json
 import re
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import optimize
 
-from fdeval import harness
+from fdeval import fde, harness
 from fdeval.cli import main
+from fdeval.envs import LQREnv
 from fdeval.errors import InvalidInput
+from fdeval.fde import choose_t
 from fdeval.harness import (
     CSV_HEADER,
     SETTINGS,
@@ -136,13 +141,24 @@ def test_datasets_are_method_invariant():
     assert r1.inaccuracy == pytest.approx(r2.inaccuracy, abs=1e-12)
 
 
-def test_rows_count_folds_whose_optimizer_exit_failed(tmp_path):
-    """The energy fit of master seed 5 at n = 300 has a fold whose L-BFGS-B
-    exit reports failure; its row counts it, and the KL row counts none."""
+def test_rows_count_folds_whose_optimizer_exit_failed(tmp_path, monkeypatch):
+    """The energy fit of master seed 5 at n = 300 runs first; a proxy makes its
+    last fold's L-BFGS-B exit report failure.  Its row counts it, and the KL
+    row, whose calls come after, counts none."""
     config = ExperimentConfig(methods=("energy", "kl"), n_list=(300,), reps=1, master_seed=5,
                               output_path=str(tmp_path / "nc.csv"))
+    calls = itertools.count(1)
+    last_energy_fold = choose_t(300, LQREnv.default().gamma)
+
+    def minimize(*args, **kwargs):
+        result = optimize.minimize(*args, **kwargs)
+        if next(calls) == last_energy_fold:
+            result.success = False
+        return result
+
+    monkeypatch.setattr(fde, "optimize", SimpleNamespace(minimize=minimize))
     reports = {r.method: r for r in run_experiment(config)}
-    assert not reports["energy"].failed and reports["energy"].not_converged >= 1
+    assert not reports["energy"].failed and reports["energy"].not_converged == 1
     assert reports["kl"].not_converged == 0
     with open(write_reports(list(reports.values()), config)) as fh:
         rows = {row["method"]: row for row in csv.DictReader(fh)}
