@@ -42,6 +42,52 @@ def _check_counts(**counts) -> None:
             raise InvalidInput(f"{name} must be an integer >= 1, got {n!r}")
 
 
+# what a transition row can fail, in the order its checks run
+_ROW_FAULTS = (
+    "missing transition row for {}",
+    "branches for {} must be (prob, reward, next_state) triples",
+    "probs and rewards for {} must be real numbers",
+    "transition probs for {} do not sum to 1",
+    "rewards for {} must be finite",
+    "next states for {} must be state indices",
+)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (float, int)) or isinstance(x, Real)  # the ABC check is slow
+
+
+def _row_faults(rows, n_states: int) -> np.ndarray:
+    """Per transition row, the index into _ROW_FAULTS of the first check it
+    fails, or len(_ROW_FAULTS) if it passes them all.  The checks past the
+    row's shape run once, as arrays over the branches of every row of
+    (prob, reward, next_state) triples."""
+    fault = np.full(len(rows), len(_ROW_FAULTS))
+    formed = []
+    for i, row in enumerate(rows):
+        if not row:
+            fault[i] = 0
+        elif not all(isinstance(b, (tuple, list)) and len(b) == 3 for b in row):
+            fault[i] = 1
+        else:
+            formed.append(i)
+    branches = [b for i in formed for b in rows[i]]
+    owner = np.repeat(np.array(formed, dtype=np.intp), [len(rows[i]) for i in formed])
+    # per branch: real prob and reward, prob, reward, next state an index
+    real, probs, rewards, index = np.array([
+        (True, p, r, _is_index(s, n_states)) if _is_real(p) and _is_real(r) else (False, 0.0, 0.0, False)
+        for p, r, s in branches
+    ], dtype=float).reshape(-1, 4).T
+    # per row and check of _ROW_FAULTS[2:], the count of branches that fail it
+    failed = np.array([
+        np.bincount(owner, weights=bad, minlength=len(rows))
+        for bad in (real == 0, ~(probs >= 0), ~np.isfinite(rewards), index == 0)
+    ]) > 0
+    failed[1] |= ~(np.abs(np.bincount(owner, weights=probs, minlength=len(rows)) - 1.0) <= _PROB_TOL)
+    first = np.where(failed.any(axis=0), failed.argmax(axis=0) + 2, len(_ROW_FAULTS))
+    return np.minimum(fault, first)
+
+
 @dataclass(frozen=True)
 class TabularMDP:
     """Finite MDP with per-(s, a) transition branches (prob, reward, next_state).
@@ -66,22 +112,14 @@ class TabularMDP:
         extra = set(self.transitions) - set(self.pairs())
         if extra:
             raise InvalidInput(f"transition keys {sorted(map(repr, extra))} are not pairs of the MDP")
+        pairs = self.pairs()
+        rows = [self.transitions.get(sa) for sa in pairs]
+        fault = _row_faults(rows, self.n_states)
+        bad = np.flatnonzero(fault < len(_ROW_FAULTS))
+        if bad.size:
+            raise InvalidInput(_ROW_FAULTS[fault[bad[0]]].format(pairs[bad[0]]))
         parsed = {}
-        for sa in self.pairs():
-            row = self.transitions.get(sa)
-            if not row:
-                raise InvalidInput(f"missing transition row for {sa}")
-            if not all(isinstance(b, (tuple, list)) and len(b) == 3 for b in row):
-                raise InvalidInput(f"branches for {sa} must be (prob, reward, next_state) triples")
-            if not all(isinstance(x, Real) for b in row for x in b[:2]):
-                raise InvalidInput(f"probs and rewards for {sa} must be real numbers")
-            probs = np.array([b[0] for b in row], dtype=float)
-            if not (probs >= 0).all() or not abs(probs.sum() - 1.0) <= _PROB_TOL:
-                raise InvalidInput(f"transition probs for {sa} do not sum to 1")
-            if not np.isfinite([b[1] for b in row]).all():
-                raise InvalidInput(f"rewards for {sa} must be finite")
-            if not all(_is_index(b[2], self.n_states) for b in row):
-                raise InvalidInput(f"next states for {sa} must be state indices")
+        for sa, row in zip(pairs, rows):
             kept = [(float(p), r, s_next) for p, r, s_next in row if p > 0]
             total = sum(p for p, _, _ in kept)
             parsed[sa] = tuple((p / total, r, s_next) for p, r, s_next in kept)

@@ -206,14 +206,25 @@ def divergence_gmm(
 
     if rng is None:
         raise InvalidInput(f"{spec.kind} requires an RNG")
-    # mc_samples draws per component of Q, weighted by the component weights
-    total = 0.0
+    return _kl_mc([p], q, rng, mc_samples)[0]
+
+
+def _kl_mc(models, q: GaussianMixture1D, rng: np.random.Generator, mc_samples: int) -> list:
+    """KL(Q || P) by Monte Carlo for each model P of models, one score each.
+
+    mc_samples draws per component of Q, weighted by the component weights;
+    every model is scored on the same draws (common random numbers), so one
+    model's score is the score divergence_gmm gives it with the same rng.
+    """
+    w2, m2, v2 = q.weights, q.means, q.variances
+    params = [(p.weights, p.means, p.variances) for p in models]
+    totals = [0.0] * len(params)
     for wj, mj, vj in zip(w2, m2, v2):
         z = rng.normal(mj, math.sqrt(vj), size=mc_samples)
         log_q = _gmm_logpdf(z, w2, m2, v2)
-        log_p = _gmm_logpdf(z, w1, m1, v1)
-        total += wj * float(np.mean(log_q - log_p))
-    return max(total, 0.0)
+        for k, (w1, m1, v1) in enumerate(params):
+            totals[k] += wj * float(np.mean(log_q - _gmm_logpdf(z, w1, m1, v1)))
+    return [max(total, 0.0) for total in totals]
 
 
 def _pairwise_quadratic(term, w1, m1, v1, w2, m2, v2) -> float:
@@ -247,13 +258,24 @@ def _gmm_logpdf(z, w, m, v):
 
 
 def _energy_gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Energy kernel matrix |x_i| + |y_j| - |x_i - y_j| for 1-D point sets."""
-    return np.abs(x)[:, None] + np.abs(y)[None, :] - np.abs(x[:, None] - y[None, :])
+    """Energy kernel matrices |x_i| + |y_j| - |x_i - y_j| of the rows of two
+    batches of 1-D point sets."""
+    return np.abs(x)[..., :, None] + np.abs(y)[..., None, :] - np.abs(x[..., :, None] - y[..., None, :])
+
+
+def energy_mmd2_rows(rows1, rows2) -> np.ndarray:
+    """Exact population squared energy MMD between the measures of each row of
+    two padded (locations, masses) batches; pad atoms carry mass 0."""
+
+    def cross(a, b):
+        return np.einsum("ri,rij,rj->r", a[1], _energy_gram(a[0], b[0]), b[1])
+
+    return cross(rows1, rows1) + cross(rows2, rows2) - 2.0 * cross(rows1, rows2)
 
 
 def energy_mmd2_atomic(p: Atomic, q: Atomic) -> float:
-    """Exact population squared energy MMD between two finite atomic measures."""
-    kpp = p.masses @ _energy_gram(p.locations, p.locations) @ p.masses
-    kqq = q.masses @ _energy_gram(q.locations, q.locations) @ q.masses
-    kpq = p.masses @ _energy_gram(p.locations, q.locations) @ q.masses
-    return float(kpp + kqq - 2.0 * kpq)
+    """Exact population squared energy MMD between two finite atomic measures:
+    the one-row case of energy_mmd2_rows."""
+    return float(energy_mmd2_rows(
+        (p.locations[None, :], p.masses[None, :]), (q.locations[None, :], q.masses[None, :])
+    )[0])

@@ -14,12 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import Atomic, mixture, push_forward
-from .divergences import energy_mmd2_atomic
+from .bellman import _check_counts
+from .distributions import Atomic
+from .divergences import energy_mmd2_rows
 from .errors import InvalidInput
 
 _SLC_TOL = 1e-9  # slack for floating-point rounding in the S-L-C inequalities
-_ONE = np.ones(1)
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,18 @@ class MetricSpec:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "q", q)
 
-    def evaluate(self, p_dist: Atomic, q_dist: Atomic) -> float:
+    def evaluate_rows(self, rows1, rows2) -> np.ndarray:
+        """The metric between the measures of each row of two padded
+        (locations, masses) batches."""
         if self.kind == "wasserstein":
-            return wasserstein_1d(self.p, p_dist, q_dist)
-        val = energy_mmd2_atomic(p_dist, q_dist)
+            return wasserstein_rows(self.p, rows1, rows2)
+        val = energy_mmd2_rows(rows1, rows2)
         if self.kind == "cramer":  # 1-D identity: squared Cramer is half the energy MMD^2
             val = 0.5 * val
-        return float(np.sqrt(max(val, 0.0)))
+        return np.sqrt(np.maximum(val, 0.0))
+
+    def evaluate(self, p_dist: Atomic, q_dist: Atomic) -> float:
+        return float(self.evaluate_rows(_row(p_dist), _row(q_dist))[0])
 
 
 @dataclass(frozen=True)
@@ -87,48 +92,103 @@ class ExtensionSpec:
                 raise InvalidInput(f"extension weights sum to {total}, not 1")
 
 
-def _sorted_atoms(a: Atomic):
-    locs = a.locations
-    order = np.argsort(locs, kind="stable")
-    return locs[order], a.masses[order]
+def _padded(atoms) -> tuple[np.ndarray, np.ndarray]:
+    """(locations, masses) pairs as padded (rows, width) location and mass
+    arrays; each pad atom repeats its row's largest location at mass 0."""
+    sizes = np.array([m.size for _, m in atoms])
+    real = np.arange(sizes.max()) < sizes[:, None]
+    locs = np.zeros(real.shape)
+    masses = np.zeros(real.shape)
+    locs[real] = np.concatenate([x for x, _ in atoms])
+    masses[real] = np.concatenate([m for _, m in atoms])
+    top = np.where(real, locs, -np.inf).max(axis=1, keepdims=True)
+    return np.where(real, locs, top), masses
+
+
+def _row(dist: Atomic) -> tuple[np.ndarray, np.ndarray]:
+    return dist.locations[None, :], dist.masses[None, :]
+
+
+def wasserstein_rows(p, rows1, rows2) -> np.ndarray:
+    """Wasserstein-p distance between the measures of each row of two padded
+    (locations, masses) batches, by the quantile coupling; p is one order or
+    one per row.
+
+    The cuts are both CDFs and 1, sorted and clipped to 1; on the segment
+    (cuts[j - 1], cuts[j]] each measure's quantile is its first atom whose
+    CDF reaches cuts[j], found as the count of that side's CDF values sorted
+    before the cut, clamped to the last atom.  Zero-width segments add
+    nothing.  Pad atoms carry mass 0 and lie no further right than their
+    row's largest location, so the clamp lands on that location.
+    """
+    p = np.asarray(p, dtype=float)
+    if not np.all((1 <= p) & (p < math.inf)):  # NaN included
+        raise InvalidInput(f"wasserstein order must be finite and >= 1, got {p}")
+    (locs1, masses1), (locs2, masses2) = rows1, rows2
+    n_rows, w1 = locs1.shape
+    w2 = locs2.shape[1]
+    row = np.arange(n_rows)[:, None]
+    by_loc1 = np.argsort(locs1, axis=1, kind="stable")
+    by_loc2 = np.argsort(locs2, axis=1, kind="stable")
+    cuts = np.concatenate([
+        np.cumsum(masses1[row, by_loc1], axis=1),
+        np.cumsum(masses2[row, by_loc2], axis=1),
+        np.ones((n_rows, 1)),
+    ], axis=1)
+    order = np.argsort(cuts, axis=1, kind="stable")
+    cuts = np.minimum(cuts[row, order], 1.0)
+    widths = cuts.copy()
+    widths[:, 1:] -= cuts[:, :-1]
+    # A segment of positive width opens at the first of equal cuts, so the
+    # CDF values sorted before it are those below it: searchsorted's count
+    # over all but the last CDF value, which clamps a cut past it to the
+    # last atom.  The final 1 sorts before zero-width segments only, so the
+    # other entries before a segment are the second CDF's.
+    first = order < w1
+    before1 = np.cumsum(first, axis=1) - first
+    before2 = np.arange(order.shape[1]) - before1
+    gaps = np.abs(
+        locs1[row, by_loc1[row, np.minimum(before1, w1 - 1)]]
+        - locs2[row, by_loc2[row, np.minimum(before2, w2 - 1)]]
+    )
+    cost = np.zeros_like(gaps)
+    # zero-width segments get no power, so 0 * inf cannot give NaN
+    np.power(gaps, p[:, None] if p.ndim else p, out=cost, where=widths > 0)
+    return np.einsum("ij,ij->i", widths, cost) ** (1.0 / p)
 
 
 def wasserstein_1d(p: float, dist1: Atomic, dist2: Atomic) -> float:
-    """Wasserstein-p distance between two atomic measures by the quantile
-    coupling.  The cuts are both CDFs and 1, sorted and clipped to 1; on the
-    segment (cuts[j - 1], cuts[j]] each measure's quantile is its first atom
-    whose CDF reaches cuts[j].  Zero-width segments are dropped."""
-    if not 1 <= p < math.inf:  # NaN included
-        raise InvalidInput(f"wasserstein order must be finite and >= 1, got {p}")
-    zp, mp = _sorted_atoms(dist1)
-    zq, mq = _sorted_atoms(dist2)
-    cp, cq = np.cumsum(mp), np.cumsum(mq)
-    cuts = np.minimum(np.sort(np.concatenate([cp, cq, _ONE])), 1.0)
-    widths = cuts.copy()
-    widths[1:] -= cuts[:-1]  # np.diff(cuts, prepend=0.0) without its concatenation
-    keep = widths > 0
-    cuts, widths = cuts[keep], widths[keep]
-    # searching all but the last CDF value clamps a cut past it to the last atom
-    gaps = np.abs(zp[np.searchsorted(cp[:-1], cuts)] - zq[np.searchsorted(cq[:-1], cuts)])
-    return float((widths @ gaps**p) ** (1.0 / p))
+    """Wasserstein-p distance between two atomic measures: the one-row case
+    of wasserstein_rows."""
+    return float(wasserstein_rows(p, _row(dist1), _row(dist2))[0])
+
+
+def _extend(ext: ExtensionSpec, vals: np.ndarray, weights) -> np.ndarray:
+    """The extension of per-pair distances along the last axis of vals."""
+    if ext.mode == "supremum":
+        return vals.max(axis=-1)
+    power = 2.0 * ext.q
+    return np.sum(weights * vals**power, axis=-1) ** (1.0 / power)
 
 
 def metric_extension(metric: MetricSpec, ext: ExtensionSpec, table1: dict, table2: dict) -> float:
-    """Extended distance between two distribution tables with a shared index set."""
+    """Extended distance between two distribution tables with a shared index
+    set, every pair in one rows evaluation."""
     if set(table1) != set(table2):
         raise InvalidInput("tables must share the same index set")
     keys = sorted(table1)
-    vals = np.array([metric.evaluate(table1[k], table2[k]) for k in keys])
-    if ext.mode == "supremum":
-        return float(vals.max())
-    if ext.weights is None:
-        w = np.full(len(keys), 1.0 / len(keys))
-    else:
-        if set(ext.weights) != set(keys):
+    w = None
+    if ext.mode == "expectation":
+        if ext.weights is None:
+            w = np.full(len(keys), 1.0 / len(keys))
+        elif set(ext.weights) != set(keys):
             raise InvalidInput("extension weights must cover the table index set")
-        w = np.array([ext.weights[k] for k in keys])
-    power = 2.0 * ext.q
-    return float(np.sum(w * vals**power) ** (1.0 / power))
+        else:
+            w = np.array([ext.weights[k] for k in keys])
+    vals = metric.evaluate_rows(*(
+        _padded([(t[k].locations, t[k].masses) for k in keys]) for t in (table1, table2)
+    ))
+    return float(_extend(ext, vals, w))
 
 
 def contraction_factor(metric: MetricSpec, ext: ExtensionSpec, gamma: float) -> float:
@@ -154,54 +214,48 @@ def slc_property_check(
     """Randomized check of scale-sensitivity, location-insensitivity, q-convexity.
 
     Runs on random atomic pairs; returns {"violations": [...], "trials": n}.
-    A pass means no counterexample was found, not a proof.
+    A pass means no counterexample was found, not a proof.  Every trial's
+    draws come first, then each check is one rows evaluation over all trials.
     """
-    if trials < 1:
-        raise InvalidInput("trials must be >= 1")
+    _check_counts(trials=trials)
     c = metric.c if c_override is None else c_override
-    q = metric.q
-    violations = []
-    for trial in range(trials):
-        x = _random_atomic(rng)
-        y = _random_atomic(rng)
-        base = metric.evaluate(x, y)
-        gamma = rng.uniform(0.05, 0.95)
-        scaled = metric.evaluate(_scale(x, gamma), _scale(y, gamma))
-        if scaled > gamma**c * base + _SLC_TOL:
-            violations.append(
-                {"trial": trial, "property": "scale", "lhs": scaled, "rhs": gamma**c * base}
-            )
-        z = rng.normal(0.0, 3.0)
-        shifted = metric.evaluate(_shift(x, z), _shift(y, z))
-        if shifted > base + _SLC_TOL:
-            violations.append(
-                {"trial": trial, "property": "location", "lhs": shifted, "rhs": base}
-            )
-        # q-convexity of the 2q-th power over a random two-part mixture
-        x2 = _random_atomic(rng)
-        y2 = _random_atomic(rng)
-        lam = rng.uniform(0.05, 0.95)
-        mixed1 = mixture([(lam, x), (1.0 - lam, x2)])
-        mixed2 = mixture([(lam, y), (1.0 - lam, y2)])
-        lhs = metric.evaluate(mixed1, mixed2) ** (2.0 * q)
-        rhs = lam * base ** (2.0 * q) + (1.0 - lam) * metric.evaluate(x2, y2) ** (2.0 * q)
-        if lhs > rhs + _SLC_TOL:
-            violations.append(
-                {"trial": trial, "property": "convexity", "lhs": lhs, "rhs": rhs}
-            )
+    power = 2.0 * metric.q
+    draws = []
+    for _ in range(trials):
+        x, y = _random_atoms(rng), _random_atoms(rng)
+        gamma, z = rng.uniform(0.05, 0.95), rng.normal(0.0, 3.0)
+        x2, y2 = _random_atoms(rng), _random_atoms(rng)
+        draws.append((x, y, gamma, z, x2, y2, rng.uniform(0.05, 0.95)))
+    x, y, gamma, z, x2, y2, lam = zip(*draws)
+    x, y, x2, y2 = map(_padded, (x, y, x2, y2))
+    gamma, z, lam = np.array(gamma), np.array(z), np.array(lam)
+
+    def mixed(a, b):  # mixture([(lam, a), (1 - lam, b)]) of each row
+        return np.hstack([a[0], b[0]]), np.hstack([lam[:, None] * a[1], (1.0 - lam[:, None]) * b[1]])
+
+    base = metric.evaluate_rows(x, y)
+    scaled = metric.evaluate_rows((gamma[:, None] * x[0], x[1]), (gamma[:, None] * y[0], y[1]))
+    shifted = metric.evaluate_rows((x[0] + z[:, None], x[1]), (y[0] + z[:, None], y[1]))
+    # q-convexity of the 2q-th power over a random two-part mixture
+    mix = metric.evaluate_rows(mixed(x, x2), mixed(y, y2)) ** power
+    parts = lam * base**power + (1.0 - lam) * metric.evaluate_rows(x2, y2) ** power
+    checks = (
+        ("scale", scaled, gamma**c * base),
+        ("location", shifted, base),
+        ("convexity", mix, parts),
+    )
+    failed = np.stack([lhs > rhs + _SLC_TOL for _, lhs, rhs in checks], axis=1)
+    violations = [
+        {"trial": int(trial), "property": checks[k][0],
+         "lhs": float(checks[k][1][trial]), "rhs": float(checks[k][2][trial])}
+        for trial, k in zip(*np.nonzero(failed))
+    ]
     return {"violations": violations, "trials": trials}
 
 
-def _random_atomic(rng: np.random.Generator, max_atoms: int = 5) -> Atomic:
+def _random_atoms(rng: np.random.Generator, max_atoms: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    """Locations and masses of a random atomic measure of 1 to max_atoms atoms."""
     n = int(rng.integers(1, max_atoms + 1))
     locs = rng.normal(0.0, 2.0, size=n)
     masses = rng.dirichlet(np.ones(n))
-    return Atomic(locs, masses)
-
-
-def _scale(a: Atomic, gamma: float) -> Atomic:
-    return push_forward(a, 0.0, gamma)
-
-
-def _shift(a: Atomic, z: float) -> Atomic:
-    return Atomic(a.locations + z, a.masses)
+    return locs, masses

@@ -11,14 +11,15 @@ import math
 
 import numpy as np
 
-from .bellman import Policy, TabularMDP, apply_bellman, zero_table
+from .bellman import Policy, TabularMDP, _check_counts, apply_bellman, zero_table
 from .distributions import Atomic, GaussianMixture1D
 from .divergences import (
     FDE_METHODS,
     DivergenceSpec,
+    _kl_mc,
     closed_form_gaussian,
     divergence_gmm,
-    energy_mmd2_atomic,
+    energy_mmd2_rows,
     kl_gaussian,
     mmd2_gaussian,
 )
@@ -28,11 +29,13 @@ from .fde import split_dataset
 from .metrics import (
     ExtensionSpec,
     MetricSpec,
-    _random_atomic,
+    _extend,
+    _padded,
+    _random_atoms,
     contraction_factor,
     metric_extension,
     slc_property_check,
-    wasserstein_1d,
+    wasserstein_rows,
 )
 
 # slack for floating-point rounding in the suites' inequality checks
@@ -41,7 +44,7 @@ _TELESCOPING_TOL = 1e-6
 
 
 def _random_table(mdp: TabularMDP, rng: np.random.Generator) -> dict:
-    return {sa: _random_atomic(rng, 4) for sa in mdp.pairs()}
+    return {sa: Atomic(*_random_atoms(rng, 4)) for sa in mdp.pairs()}
 
 
 def contraction_suite(seed: int, trials: int = 100) -> dict:
@@ -50,33 +53,49 @@ def contraction_suite(seed: int, trials: int = 100) -> dict:
     Supremum extension: random multi-state MDPs, factor gamma.  Expectation
     extension with the occupancy weights of the evaluated policy: single-state
     MDPs whose sampling law equals the policy, so the occupancy is the policy
-    itself and the factor gamma^(1 - 1/(2p)) applies exactly.
+    itself and the factor gamma^(1 - 1/(2p)) applies exactly.  Every trial's
+    tables and exact backups come first; then each (case, order) takes one
+    rows evaluation before and one after the step, over all trials' pairs.
     """
-    def expectation(p: float, pi: Policy) -> ExtensionSpec:
-        weights = {sa: float(w) for sa, w in np.ndenumerate(pi.probs)}
-        return ExtensionSpec("expectation", q=p, weights=weights)
-
-    cases = ((2, 2, lambda p, pi: ExtensionSpec("supremum")), (1, 3, expectation))
+    _check_counts(trials=trials)
+    cases = {"supremum": (2, 2), "expectation": (1, 3)}
     rng = np.random.default_rng(seed)
-    violations = []
-    for trial in range(trials):
+    gammas = []
+    # per case: the pairs of u1, u2, T u1 and T u2 over all trials, and the policies
+    tables = {mode: ([], [], [], []) for mode in cases}
+    policies = {mode: [] for mode in cases}
+    for _ in range(trials):
         gamma = float(rng.uniform(0.3, 0.95))
-        for n_states, n_actions, extension in cases:
+        gammas.append(gamma)
+        for mode, (n_states, n_actions) in cases.items():
             mdp = tabular_make_random(n_states, n_actions, 2, rng, gamma=gamma)
             pi = Policy(rng.dirichlet(np.ones(n_actions), size=n_states))
             u1, u2 = _random_table(mdp, rng), _random_table(mdp, rng)
-            tu1, tu2 = apply_bellman(u1, mdp, pi), apply_bellman(u2, mdp, pi)
-            for p in (1.0, 2.0):
-                metric = MetricSpec("wasserstein", p=p)
-                ext = extension(p, pi)
-                before = metric_extension(metric, ext, u1, u2)
-                after = metric_extension(metric, ext, tu1, tu2)
-                bound = contraction_factor(metric, ext, gamma) * before
-                if after > bound + _TOL:
-                    violations.append(
-                        {"trial": trial, "extension": ext.mode, "p": p,
-                         "after": after, "bound": bound}
-                    )
+            for column, table in zip(
+                tables[mode], (u1, u2, apply_bellman(u1, mdp, pi), apply_bellman(u2, mdp, pi))
+            ):
+                column.extend((table[sa].locations, table[sa].masses) for sa in mdp.pairs())
+            policies[mode].append(pi.probs.ravel())
+    checks = []  # (mode, p, after, bound) per trial, in record order
+    for mode in cases:
+        u1, u2, tu1, tu2 = map(_padded, tables[mode])
+        weights = np.array(policies[mode])
+        for p in (1.0, 2.0):
+            metric = MetricSpec("wasserstein", p=p)
+            ext = ExtensionSpec(mode, q=p) if mode == "expectation" else ExtensionSpec(mode)
+
+            before, after = (
+                _extend(ext, metric.evaluate_rows(a, b).reshape(trials, -1), weights)
+                for a, b in ((u1, u2), (tu1, tu2))
+            )
+            factor = np.array([contraction_factor(metric, ext, g) for g in gammas])
+            checks.append((mode, p, after, factor * before))
+    failed = np.stack([after > bound + _TOL for _, _, after, bound in checks], axis=1)
+    violations = [
+        {"trial": int(trial), "extension": checks[k][0], "p": checks[k][1],
+         "after": float(checks[k][2][trial]), "bound": float(checks[k][3][trial])}
+        for trial, k in zip(*np.nonzero(failed))
+    ]
     return {"suite": "contraction", "trials": trials, "violations": violations,
             "passed": not violations}
 
@@ -114,6 +133,7 @@ def minimizer_suite(seed: int, mc_samples: int = 4000) -> dict:
     randomness is computed in closed form (Monte Carlo with common random
     numbers for the KL kind) on a candidate grid containing the true mixture.
     """
+    _check_counts(mc_samples=mc_samples)
     rng = np.random.default_rng(seed)
     gamma = 0.8
     mdp = tabular_make_random(2, 2, 1, rng, gamma=gamma)
@@ -146,20 +166,21 @@ def minimizer_suite(seed: int, mc_samples: int = 4000) -> dict:
             ("shift+0.6", _shift_gmm(true_min, 0.6)),
             ("reweight", _reweight_gmm(true_min, rng)),
         ]
+        labels, models = zip(*candidates)
         for name, spec in specs.items():
             trials += 1
-            scores = {}
-            for label, cand in candidates:
-                total = 0.0
-                for b_index, (prob, backup) in enumerate(backups):
+            scores = dict.fromkeys(labels, 0.0)
+            for b_index, (prob, backup) in enumerate(backups):
+                if spec.kind == "kl":
                     # common random numbers: the same draw stream per backup
                     # realization across candidates, so MC noise cancels in
-                    # the argmin comparison
+                    # the argmin comparison; one draw scores every candidate
                     mc_rng = np.random.default_rng((seed, sa_index, b_index))
-                    total += prob * divergence_gmm(
-                        spec, cand, backup, rng=mc_rng, mc_samples=mc_samples
-                    )
-                scores[label] = total
+                    values = _kl_mc(models, backup, mc_rng, mc_samples)
+                else:
+                    values = [divergence_gmm(spec, model, backup) for model in models]
+                for label, value in zip(labels, values):
+                    scores[label] += prob * value
             best = min(scores, key=scores.get)
             margin = min(v for k, v in scores.items() if k != "true") - scores["true"]
             if best != "true" or margin <= 0:
@@ -236,6 +257,7 @@ def closed_forms_suite(seed: int, pairs: int = 100, mc_n: int = 1_000_000) -> di
     Each random pair must agree within three MC standard errors; two exact
     anchor values are checked with tight tolerances.
     """
+    _check_counts(pairs=pairs, mc_n=mc_n)
     rng = np.random.default_rng(seed)
     violations = []
     trials = 0
@@ -268,29 +290,38 @@ def sandwich_suite(seed: int, trials: int = 500) -> dict:
     """Energy-distance sandwich on bounded supports.
 
     For atoms inside [a, b]: E <= 2 W_1 <= 2 W_p and
-    (2 / (b - a)^(2p - 1)) W_p^(2p) <= E.
+    (2 / (b - a)^(2p - 1)) W_p^(2p) <= E.  Every trial's draws come first;
+    then E, W_1 and W_p are one rows evaluation each over all trials.
     """
+    _check_counts(trials=trials)
     rng = np.random.default_rng(seed)
-    violations = []
-    for trial in range(trials):
-        p = float(1 + trial % 3)
-        lo = float(rng.uniform(-3.0, 0.0))
-        hi = lo + float(rng.uniform(0.5, 4.0))
+    p = 1.0 + np.arange(trials) % 3
+    lo, hi, d1, d2 = [], [], [], []
+    for _ in range(trials):
+        lo.append(float(rng.uniform(-3.0, 0.0)))
+        hi.append(lo[-1] + float(rng.uniform(0.5, 4.0)))
         k1 = int(rng.integers(1, 6))
         k2 = int(rng.integers(1, 6))
-        d1 = Atomic(rng.uniform(lo, hi, size=k1), rng.dirichlet(np.ones(k1)))
-        d2 = Atomic(rng.uniform(lo, hi, size=k2), rng.dirichlet(np.ones(k2)))
-        energy = energy_mmd2_atomic(d1, d2)
-        w1 = wasserstein_1d(1.0, d1, d2)
-        wp = wasserstein_1d(p, d1, d2)
-        lower = 2.0 / (hi - lo) ** (2.0 * p - 1.0) * wp ** (2.0 * p)
-        record = {"trial": trial, "p": p, "energy": energy, "w1": w1, "wp": wp}
-        if energy > 2.0 * w1 + _TOL:
-            violations.append(dict(record, check="energy<=2w1"))
-        if w1 > wp + _TOL:
-            violations.append(dict(record, check="w1<=wp"))
-        if lower > energy + _TOL:
-            violations.append(dict(record, check="lower<=energy", lower=lower))
+        d1.append((rng.uniform(lo[-1], hi[-1], size=k1), rng.dirichlet(np.ones(k1))))
+        d2.append((rng.uniform(lo[-1], hi[-1], size=k2), rng.dirichlet(np.ones(k2))))
+    d1, d2 = _padded(d1), _padded(d2)
+    energy = energy_mmd2_rows(d1, d2)
+    w1 = wasserstein_rows(1.0, d1, d2)
+    wp = wasserstein_rows(p, d1, d2)
+    lower = 2.0 / (np.array(hi) - np.array(lo)) ** (2.0 * p - 1.0) * wp ** (2.0 * p)
+    checks = (
+        ("energy<=2w1", energy, 2.0 * w1),
+        ("w1<=wp", w1, wp),
+        ("lower<=energy", lower, energy),
+    )
+    failed = np.stack([lhs > rhs + _TOL for _, lhs, rhs in checks], axis=1)
+    violations = []
+    for trial, k in zip(*np.nonzero(failed)):
+        record = {"trial": int(trial), "p": float(p[trial]), "energy": float(energy[trial]),
+                  "w1": float(w1[trial]), "wp": float(wp[trial]), "check": checks[k][0]}
+        if checks[k][0] == "lower<=energy":
+            record["lower"] = float(lower[trial])
+        violations.append(record)
     return {"suite": "sandwich", "trials": trials, "violations": violations,
             "passed": not violations}
 
@@ -334,6 +365,7 @@ def telescoping_suite(seed: int, runs: int = 20) -> dict:
     the pairs covered by the fold (the rest carry over, creating genuine
     per-iteration backup errors for the bound to control).
     """
+    _check_counts(runs=runs)
     rng = np.random.default_rng(seed)
     w1, sup = MetricSpec("wasserstein"), ExtensionSpec("supremum")
     violations = []
@@ -377,4 +409,6 @@ def run_property_suite(suite: str, seed: int = 0) -> dict:
     """Execute one named suite; see the individual suite functions."""
     if suite not in _SUITES:
         raise InvalidInput(f"unknown property suite {suite!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInput(f"seed must be an integer >= 0, got {seed!r}")
     return _SUITES[suite](seed)

@@ -554,6 +554,12 @@ def test_cli_check_exit_codes(capsys):
     assert main(["check", "--suite", "no_such_suite"]) == 1
 
 
+def test_cli_check_rejects_a_negative_seed(capsys):
+    """The seed went on to default_rng, whose ValueError escaped as a traceback."""
+    assert main(["check", "--suite", "sandwich", "--seed", "-1"]) == 1
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+
 def test_cli_truth_lqr(capsys):
     assert main(["truth-lqr"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -6,15 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import oracles
+from fdeval import metrics
 from fdeval.distributions import Atomic
+from fdeval.divergences import energy_mmd2_rows
 from fdeval.errors import InvalidInput
 from fdeval.metrics import (
     ExtensionSpec,
     MetricSpec,
+    _padded,
     contraction_factor,
     metric_extension,
     slc_property_check,
     wasserstein_1d,
+    wasserstein_rows,
 )
 
 
@@ -178,3 +183,137 @@ def test_expectation_weights_must_be_nonnegative(weights):
     entries are at most 1 apart; an occupancy weighting is never negative."""
     with pytest.raises(InvalidInput, match=">= 0"):
         ExtensionSpec("expectation", weights=weights)
+
+
+def _random_rows(rng, n_rows, max_atoms=10):
+    """Random measures of 1 to max_atoms atoms: locations on a coarse grid
+    (ties), masses from a few halves and quarters (tied CDFs across the pair)
+    or a Dirichlet draw, and now and then a zero-mass atom."""
+    measures = []
+    for _ in range(n_rows):
+        k = int(rng.integers(1, max_atoms + 1))
+        locs = np.round(rng.normal(0.0, 2.0, size=k), 1)
+        if rng.random() < 0.5:
+            masses = rng.choice([0.0, 0.25, 0.5, 1.0], size=k)
+            masses[0] += masses.sum() == 0
+            masses = masses / masses.sum()
+        else:
+            masses = rng.dirichlet(np.ones(k))
+            if k > 1 and rng.random() < 0.3:
+                masses[rng.integers(k)] = 0.0
+                masses = masses / masses.sum()
+        measures.append(Atomic(locs, masses))
+    return measures
+
+
+def _as_rows(measures):
+    return _padded([(m.locations, m.masses) for m in measures])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_wasserstein_rows_match_the_per_call_oracles(p):
+    """Every row of a padded batch against the per-call quantile coupling it
+    replaced and the segment-midpoint reference, one-atom rows included."""
+    rng = np.random.default_rng(int(p * 10))
+    a, b = _random_rows(rng, 300), _random_rows(rng, 300)
+    a[0], b[1] = Atomic([1.5], [1.0]), Atomic([-0.5], [1.0])
+    got = wasserstein_rows(p, _as_rows(a), _as_rows(b))
+    for value, x, y in zip(got, a, b):
+        assert value == pytest.approx(oracles.wasserstein_1d(p, x, y), rel=1e-12, abs=0.0)
+        # the midpoint reference can charge a one-ulp segment to its left atom
+        assert value == pytest.approx(_reference_wasserstein_1d(p, x, y), rel=1e-12, abs=1e-14)
+
+
+def test_wasserstein_rows_take_one_order_per_row():
+    rng = np.random.default_rng(5)
+    a, b = _as_rows(_random_rows(rng, 60)), _as_rows(_random_rows(rng, 60))
+    orders = 1.0 + np.arange(60) % 3
+    by_order = {p: wasserstein_rows(p, a, b) for p in (1.0, 2.0, 3.0)}
+    expected = [by_order[p][i] for i, p in enumerate(orders)]
+    assert wasserstein_rows(orders, a, b).tolist() == expected
+
+
+def test_wasserstein_rows_allow_zero_mass_atoms_inside_a_row():
+    """A two-part mixture is the two padded rows side by side, so the pads of
+    the first part sit inside the row; they carry no mass and change nothing."""
+    rng = np.random.default_rng(6)
+    x, x2, y, y2 = (_random_rows(rng, 100, max_atoms=5) for _ in range(4))
+    lam = rng.uniform(0.05, 0.95, size=(100, 1))
+
+    def side_by_side(first, second):
+        (l1, m1), (l2, m2) = _as_rows(first), _as_rows(second)
+        return np.hstack([l1, l2]), np.hstack([lam * m1, (1.0 - lam) * m2])
+
+    got = wasserstein_rows(2.0, side_by_side(x, x2), side_by_side(y, y2))
+    for i, value in enumerate(got):
+        w = float(lam[i, 0])
+        mixed1 = Atomic(np.concatenate([x[i].locations, x2[i].locations]),
+                        np.concatenate([w * x[i].masses, (1.0 - w) * x2[i].masses]))
+        mixed2 = Atomic(np.concatenate([y[i].locations, y2[i].locations]),
+                        np.concatenate([w * y[i].masses, (1.0 - w) * y2[i].masses]))
+        assert value == pytest.approx(oracles.wasserstein_1d(2.0, mixed1, mixed2), rel=1e-12, abs=0.0)
+
+
+def test_energy_rows_match_the_per_call_oracle():
+    rng = np.random.default_rng(7)
+    a, b = _random_rows(rng, 300), _random_rows(rng, 300)
+    a[0], b[0] = Atomic([1.5], [1.0]), Atomic([1.5], [1.0])  # exactly 0
+    got = energy_mmd2_rows(_as_rows(a), _as_rows(b))
+    for value, x, y in zip(got, a, b):
+        assert value == pytest.approx(oracles.energy_mmd2(x, y), rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("metric", [
+    MetricSpec("wasserstein", p=1.0), MetricSpec("wasserstein", p=2.0),
+    MetricSpec("energy"), MetricSpec("cramer"),
+])
+def test_one_row_evaluation_and_extension_match_the_per_call_oracles(metric):
+    rng = np.random.default_rng(8)
+    a, b = _random_rows(rng, 40), _random_rows(rng, 40)
+    for x, y in zip(a, b):
+        assert metric.evaluate(x, y) == pytest.approx(oracles.evaluate(metric, x, y), rel=1e-12, abs=1e-14)
+    t1, t2 = dict(enumerate(a)), dict(enumerate(b))
+    weights = dict(enumerate(rng.dirichlet(np.ones(40))))
+    for ext in (ExtensionSpec("supremum"), ExtensionSpec("expectation", q=metric.q, weights=weights)):
+        assert metric_extension(metric, ext, t1, t2) == pytest.approx(
+            oracles.metric_extension(metric, ext, t1, t2), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("metric", [
+    MetricSpec("wasserstein", p=1.0), MetricSpec("wasserstein", p=2.0),
+    MetricSpec("energy"), MetricSpec("cramer"),
+])
+@pytest.mark.parametrize("c_override", [None, 2.0])
+def test_slc_check_reports_what_the_trial_loop_reported(metric, c_override):
+    """Same violations in the same order, with the same values, as the
+    trial-by-trial check on Atomic measures; c = 2 makes every scale check
+    fail, so the records are many."""
+    for seed in (0, 1):
+        new = slc_property_check(metric, 60, np.random.default_rng(seed), c_override=c_override)
+        old = oracles.slc_property_check(metric, 60, np.random.default_rng(seed), c_override=c_override)
+        assert new["trials"] == old["trials"]
+        assert [(v["trial"], v["property"]) for v in new["violations"]] == [
+            (v["trial"], v["property"]) for v in old["violations"]
+        ]
+        for v, w in zip(new["violations"], old["violations"]):
+            assert v == pytest.approx(w, rel=1e-12)
+
+
+@pytest.mark.parametrize("trials", [0, 2.5, True])
+def test_slc_check_trials_must_be_a_positive_integer(trials):
+    with pytest.raises(InvalidInput, match="trials"):
+        slc_property_check(MetricSpec("wasserstein"), trials, np.random.default_rng(0))
+
+
+def test_slc_check_records_every_failed_check_in_trial_order(monkeypatch):
+    """With a slack of -1e9 every check of every trial fails, so the records
+    show the order: by trial, then scale, location, convexity."""
+    monkeypatch.setattr(metrics, "_SLC_TOL", -1e9)
+    monkeypatch.setattr(oracles, "_TOL", -1e9)
+    for metric in (MetricSpec("wasserstein", p=2.0), MetricSpec("cramer")):
+        new = slc_property_check(metric, 20, np.random.default_rng(3))
+        old = oracles.slc_property_check(metric, 20, np.random.default_rng(3))
+        assert len(new["violations"]) == len(old["violations"]) == 60
+        for v, w in zip(new["violations"], old["violations"]):
+            assert v == pytest.approx(w, rel=1e-12)
