@@ -387,21 +387,27 @@ def solve_return_fixed_point(
 ) -> ReturnTable:
     """Iterate the Bellman operator from the zero table to its fixed point.
 
-    Every step projects onto the lattice of grid h = 1e-4 times the return
-    span 2 * max|r| / (1 - gamma), r over the branches of positive
-    probability, which keeps atom counts bounded, and stops when the
-    supremum-W1 change, measured on that lattice, drops below tol.  When
-    every reward is 0 all atoms sit at 0, which a unit grid holds.  The
-    result is within h / (2 (1 - gamma)) + gamma * tol / (1 - gamma) of the
-    true laws in sup-W1: a projection moves W1 by at most h / 2, and the
-    projected operator is a gamma-contraction.
+    Every step projects onto the lattice of grid h = lattice_step(mdp),
+    which keeps atom counts bounded, and stops when the supremum-W1 change,
+    measured on that lattice, drops below tol.  The result is within
+    h / (2 (1 - gamma)) + gamma * tol / (1 - gamma) of the true laws in
+    sup-W1: a projection moves W1 by at most h / 2, and the projected
+    operator is a gamma-contraction.
     """
     if not tol > 0:  # NaN included
         raise InvalidInput(f"tol must be positive, got {tol}")
     _check_counts(max_iters=max_iters)
+    return _solve_on_lattice(mdp, pi, lattice_step(mdp), tol, max_iters)
+
+
+def lattice_step(mdp: TabularMDP) -> float:
+    """The grid rule of every tabular projection: h = 1e-4 times the return
+    span 2 * max|r| / (1 - gamma), r over the branches of positive
+    probability; a unit grid when every reward is 0, since all atoms then sit
+    at 0."""
     rmax = max(abs(r) for row in mdp.branches.values() for _, r, _ in row)
     span = 2.0 * rmax / (1.0 - mdp.gamma)
     grid = 1e-4 * span if span > 0 else 1.0
     if not 0 < grid < np.inf:  # a span that overflows, or so small its grid underflows
         raise InvalidInput(f"the lattice step 1e-4 * span must be finite and positive, got {grid}")
-    return _solve_on_lattice(mdp, pi, grid, tol, max_iters)
+    return grid

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from .bellman import _check_counts
-from .distributions import Atomic, GaussianMixture1D
+from .distributions import GaussianMixture1D
 from .errors import InvalidInput
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -33,7 +33,8 @@ _MMD_WEIGHT = {"cramer": 0.5, "energy": 1.0, "rbf": 1.0, "laplace": 1.0}
 class DivergenceSpec:
     """Divergence selector: ``kind`` is an FDE method label.
 
-    ``sigma`` is the bandwidth of rbf and laplace (default 1, must be > 0);
+    ``sigma`` is the bandwidth of rbf and laplace (default 1, must be finite
+    and > 0: an infinite one flattens the kernel, so every fit scores 0);
     every other kind rejects one.
     """
 
@@ -48,8 +49,8 @@ class DivergenceSpec:
                 raise InvalidInput(f"{self.kind} has no bandwidth, got sigma={self.sigma}")
         elif self.sigma is None:
             object.__setattr__(self, "sigma", 1.0)
-        elif not self.sigma > 0:  # NaN included
-            raise InvalidInput(f"kernel bandwidth must be positive, got {self.sigma}")
+        elif not 0 < self.sigma < math.inf:  # NaN included
+            raise InvalidInput(f"kernel bandwidth must be finite and positive, got {self.sigma}")
 
 
 def _laplace_terms(mu, var, sd, s):
@@ -272,10 +273,3 @@ def energy_mmd2_rows(rows1, rows2) -> np.ndarray:
 
     return cross(rows1, rows1) + cross(rows2, rows2) - 2.0 * cross(rows1, rows2)
 
-
-def energy_mmd2_atomic(p: Atomic, q: Atomic) -> float:
-    """Exact population squared energy MMD between two finite atomic measures:
-    the one-row case of energy_mmd2_rows."""
-    return float(energy_mmd2_rows(
-        (p.locations[None, :], p.masses[None, :]), (q.locations[None, :], q.masses[None, :])
-    )[0])

@@ -305,31 +305,24 @@ def tabular_collect(
     return Dataset(states, actions, rewards, next_states)
 
 
-def estimate_dpi_tabular(
-    mdp: TabularMDP, behavior: Policy, pi: Policy, n_points: int, rng: np.random.Generator
-):
-    """Sample of (s, a) pairs approximating the discounted occupancy of pi.
+def estimate_dpi_tabular(mdp: TabularMDP, behavior: Policy, pi: Policy) -> dict:
+    """The discounted occupancy of pi over (s, a) pairs, as {pair: weight}.
 
-    Horizon H ~ Geometric(1 - gamma) on {1, 2, ...}; the chain starts from
-    (s, a) ~ uniform x behavior and follows pi for H - 1 steps.
+    The chain starts from nu0(s, a) = behavior(a | s) / S and follows pi, so
+    d = (1 - gamma) nu0 (I - gamma P_pi)^-1 with
+    P_pi[(s, a), (s', a')] = P(s' | s, a) pi(a' | s'): one linear solve.
     """
-    _check_counts(n_points=n_points)
     _check_policy(mdp, behavior)
     _check_policy(mdp, pi)
-    behavior_cdf = _choice_cdf(behavior.probs)
-    pi_cdf = _choice_cdf(pi.probs)
-    branch_cdf = {sa: _choice_cdf([p for p, _, _ in row]) for sa, row in mdp.branches.items()}
-    out = []
-    for _ in range(n_points):
-        h = 1 if mdp.gamma == 0 else int(rng.geometric(1.0 - mdp.gamma))
-        s = int(rng.integers(0, mdp.n_states))
-        a = int(behavior_cdf[s].searchsorted(rng.random(), side="right"))
-        for _ in range(h - 1):
-            j = int(branch_cdf[(s, a)].searchsorted(rng.random(), side="right"))
-            s = mdp.branches[(s, a)][j][2]
-            a = int(pi_cdf[s].searchsorted(rng.random(), side="right"))
-        out.append((s, a))
-    return out
+    pairs = mdp.pairs()
+    to_state = np.zeros((len(pairs), mdp.n_states))
+    for i, sa in enumerate(pairs):
+        for p, _, s_next in mdp.branches[sa]:
+            to_state[i, s_next] += p
+    p_pi = (to_state[:, :, None] * pi.probs[None]).reshape(len(pairs), len(pairs))
+    nu0 = behavior.probs.ravel() / mdp.n_states
+    d = (1.0 - mdp.gamma) * np.linalg.solve(np.eye(len(pairs)) - mdp.gamma * p_pi.T, nu0)
+    return dict(zip(pairs, np.maximum(d, 0.0).tolist()))  # rounding can dip below 0
 
 
 def estimate_dpi_lqr(env: LQREnv, n_points: int, rng: np.random.Generator):

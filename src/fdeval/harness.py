@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .bellman import (
-    Policy, _check_counts, backup_mixture, compact_atoms, solve_return_fixed_point, zero_table
+    Policy, _check_counts, backup_mixture, compact_atoms, lattice_step, solve_return_fixed_point,
+    zero_table,
 )
 from .divergences import FDE_METHODS, DivergenceSpec
 from .envs import (
@@ -48,7 +49,11 @@ _TAG_DPI = 1
 _TAG_METHOD = 2
 _TAG_INSTANCE = 3
 
-_TABULAR_FIT_GRID = 1e-3  # compaction grid of the tabular fold fits
+# how each experiment weighs its pairs by the target policy's occupancy
+_DPI_SCHEMES = {
+    "lqr": "geometric-horizon occupancy sample, refreshed per replication",
+    "tabular": "exact discounted occupancy, one linear solve per cell",
+}
 
 
 def _listed(parse):
@@ -77,7 +82,7 @@ SETTINGS = {
     "n_list": Setting("experiment", "n", _listed(int), "comma-separated sample sizes"),
     "methods": Setting("experiment", "methods", _listed(str), "comma-separated method names"),
     "workers": Setting("experiment", "workers", int, "parallel worker cap"),
-    "dpi_points": Setting("experiment", "dpi_points", int),
+    "dpi_points": Setting("experiment", "dpi_points", int, reader="lqr", default=1000),
     "c_divide": Setting("t_selection", "c_divide", float),
     "sigma_rbf": Setting("divergence", "sigma_rbf", float, reader="lqr", default=1.0),
     "sigma_lap": Setting("divergence", "sigma_lap", float, reader="lqr", default=1.0),
@@ -111,7 +116,7 @@ class ExperimentConfig:
     c_divide: float = 5.0
     workers: int = 1
     output_path: str = "results.csv"
-    dpi_points: int = 1000
+    dpi_points: Optional[int] = None
     tabular_states: Optional[int] = None
     tabular_actions: Optional[int] = None
     tabular_gamma: Optional[float] = None
@@ -142,10 +147,12 @@ class ExperimentConfig:
                 raise InvalidInput(f"{name} repeats an entry: {values}")
         if self.tabular_gamma is not None and not 0 < self.tabular_gamma < 1:
             raise InvalidInput(f"tabular_gamma must lie in (0, 1), got {self.tabular_gamma}")
-        for name in ("sigma_rbf", "sigma_lap", "c_divide"):
+        for name in ("sigma_rbf", "sigma_lap"):
             value = getattr(self, name)
-            if value is not None and not value > 0:  # NaN included
-                raise InvalidInput(f"{name} must be > 0, got {value}")
+            if value is not None and not 0 < value < math.inf:  # NaN included
+                raise InvalidInput(f"{name} must be finite and > 0, got {value}")
+        if not self.c_divide > 0:  # NaN included
+            raise InvalidInput(f"c_divide must be > 0, got {self.c_divide}")
 
 
 def _cell_seed(config: ExperimentConfig, rep: int, n: int, *tags) -> np.random.SeedSequence:
@@ -178,8 +185,10 @@ def _lqr_cell(config: ExperimentConfig, method: str, n: int, rep: int, t_count: 
 
 def _tabular_fde(data, mdp, pi, t_count):
     """Nonparametric fold fits: each covered pair becomes the empirical
-    mixture of its sample backups; uncovered pairs carry over."""
+    mixture of its sample backups, compacted on the truth's lattice step;
+    uncovered pairs carry over."""
     folds = split_dataset(data, t_count)
+    grid = lattice_step(mdp)
     table = zero_table(mdp)
     for fold in folds:
         fitted = dict(table)
@@ -189,7 +198,7 @@ def _tabular_fde(data, mdp, pi, t_count):
         for sa, obs in by_pair.items():
             w = 1.0 / len(obs)
             backups = backup_mixture([(w, r, sp) for r, sp in obs], table, pi, mdp.gamma)
-            fitted[sa] = compact_atoms(backups, grid=_TABULAR_FIT_GRID)
+            fitted[sa] = compact_atoms(backups, grid=grid)
         table = fitted
     return table
 
@@ -205,14 +214,7 @@ def _tabular_cell(config: ExperimentConfig, method: str, n: int, rep: int, t_cou
     data = tabular_collect(mdp, behavior, n, np.random.default_rng(_cell_seed(config, rep, n, _TAG_DATA)))
     table = _tabular_fde(data, mdp, pi, t_count)
     truth = solve_return_fixed_point(mdp, pi)
-    dpi = estimate_dpi_tabular(
-        mdp, behavior, pi, config.dpi_points,
-        np.random.default_rng(_cell_seed(config, rep, n, _TAG_DPI)),
-    )
-    weights = {sa: 0.0 for sa in mdp.pairs()}
-    for sa in dpi:
-        weights[sa] += 1.0 / len(dpi)
-    return tabular_inaccuracy(table, truth, weights), 0
+    return tabular_inaccuracy(table, truth, estimate_dpi_tabular(mdp, behavior, pi)), 0
 
 
 def _run_cell(args):
@@ -268,7 +270,7 @@ def write_reports(reports, config: ExperimentConfig) -> str:
     meta = {
         "version": __version__,
         "config": asdict(config),
-        "dpi_scheme": "geometric-horizon occupancy sample, refreshed per replication",
+        "dpi_scheme": _DPI_SCHEMES[config.experiment],
     }
     with open(path + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -176,6 +176,8 @@ def metric_extension(metric: MetricSpec, ext: ExtensionSpec, table1: dict, table
     set, every pair in one rows evaluation."""
     if set(table1) != set(table2):
         raise InvalidInput("tables must share the same index set")
+    if not table1:
+        raise InvalidInput("tables must share a nonempty index set")
     keys = sorted(table1)
     w = None
     if ext.mode == "expectation":

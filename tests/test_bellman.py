@@ -14,6 +14,7 @@ from fdeval.bellman import (
     apply_bellman,
     bellman_backup,
     compact_atoms,
+    lattice_step,
     solve_return_fixed_point,
     zero_table,
 )
@@ -146,8 +147,7 @@ def test_samplers_ignore_zero_probability_branches():
     out, ref = (tabular_collect(m, behavior, 500, np.random.default_rng(1)) for m in (padded, mdp))
     for name in ("states", "actions", "rewards", "next_states"):
         np.testing.assert_array_equal(getattr(out, name), getattr(ref, name))
-    draws = [estimate_dpi_tabular(m, behavior, pi, 500, np.random.default_rng(2)) for m in (padded, mdp)]
-    assert draws[0] == draws[1]
+    assert estimate_dpi_tabular(padded, behavior, pi) == estimate_dpi_tabular(mdp, behavior, pi)
 
 
 # each of these used to pass its check, since NaN fails every comparison
@@ -183,8 +183,8 @@ def test_policy_shape_must_match_the_mdp(probs):
         lambda: apply_bellman(zero_table(mdp), mdp, pi),
         lambda: solve_return_fixed_point(mdp, pi),
         lambda: tabular_collect(mdp, pi, 10, rng),
-        lambda: estimate_dpi_tabular(mdp, pi, uniform, 10, rng),
-        lambda: estimate_dpi_tabular(mdp, uniform, pi, 10, rng),
+        lambda: estimate_dpi_tabular(mdp, pi, uniform),
+        lambda: estimate_dpi_tabular(mdp, uniform, pi),
     ]
     for call in calls:
         with pytest.raises(InvalidInput, match="policy table has shape"):
@@ -471,9 +471,7 @@ def _apply_bellman_composed(table, mdp, pi, grid=None):
 
 def _tabular_fde_composed(data, mdp, pi, t_count):
     """Reference for harness._tabular_fde: the empirical mixture of each
-    covered pair's composed sample backups."""
-    from fdeval.harness import _TABULAR_FIT_GRID
-
+    covered pair's composed sample backups, on the truth's lattice step."""
     table = zero_table(mdp)
     for fold in split_dataset(data, t_count):
         fitted = dict(table)
@@ -483,7 +481,7 @@ def _tabular_fde_composed(data, mdp, pi, t_count):
         for sa, obs in by_pair.items():
             w = 1.0 / len(obs)
             parts = [(w, _bellman_backup_composed(r, sp, table, pi, mdp.gamma)) for r, sp in obs]
-            fitted[sa] = compact_atoms(mixture(parts), grid=_TABULAR_FIT_GRID)
+            fitted[sa] = compact_atoms(mixture(parts), grid=lattice_step(mdp))
         table = fitted
     return table
 
@@ -690,7 +688,6 @@ _RNG = np.random.default_rng(0)
     (lambda: tabular_make_random(2.0, 1, 2, _RNG), "n_states"),
     (lambda: tabular_make_random(2, 1, 1.5, _RNG), "reward_support_size"),
     (lambda: tabular_collect(_ONE_MDP, _ONE_PI, 2.5, _RNG), "n must"),
-    (lambda: estimate_dpi_tabular(_ONE_MDP, _ONE_PI, _ONE_PI, 2.5, _RNG), "n_points"),
     (lambda: lqr_collect(LQREnv.default(), 2.5, _RNG), "n must"),
     (lambda: estimate_dpi_lqr(LQREnv.default(), 2.5, _RNG), "n_points"),
     (lambda: split_dataset(tabular_collect(_ONE_MDP, _ONE_PI, 4, _RNG), 2.5), "T must"),
@@ -700,7 +697,7 @@ _RNG = np.random.default_rng(0)
     "uniform-0-actions", "uniform-0-states", "uniform-float-states", "deterministic-2.5-actions",
     "deterministic-0-actions", "deterministic-empty-0-actions", "deterministic-empty",
     "policy-0x0", "policy-2x0", "random-mdp-float-states", "random-mdp-float-rewards",
-    "tabular-collect-2.5", "dpi-tabular-2.5", "lqr-collect-2.5", "dpi-lqr-2.5", "split-2.5",
+    "tabular-collect-2.5", "lqr-collect-2.5", "dpi-lqr-2.5", "split-2.5",
     "solve-max-iters-2.5",
 ])
 def test_empty_or_non_integer_shapes_are_rejected(build, match):

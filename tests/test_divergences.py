@@ -15,7 +15,7 @@ from fdeval.divergences import (
     closed_form_gaussian_d2mu1,
     closed_form_gaussian_dmu1,
     divergence_gmm,
-    energy_mmd2_atomic,
+    energy_mmd2_rows,
     gaussian_k0,
     gaussian_k0_dmu,
     kl_gaussian,
@@ -227,9 +227,8 @@ def test_gmm_kl_matches_the_logsumexp_reference(p, q, seed):
 def test_mmd_atomic_hand_computation():
     # two single atoms at 0 and 3 under the energy kernel:
     # k(x,y) = |x| + |y| - |x-y|; MMD^2 = k(0,0) + k(3,3) - 2 k(0,3) = 6
-    p = Atomic([0.0], [1.0])
-    q = Atomic([3.0], [1.0])
-    assert energy_mmd2_atomic(p, q) == pytest.approx(6.0)
+    one_row = (np.array([[0.0]]), np.array([[1.0]])), (np.array([[3.0]]), np.array([[1.0]]))
+    assert energy_mmd2_rows(*one_row) == pytest.approx([6.0])
 
 
 def _cramer_sq_oracle(p, q):
@@ -294,6 +293,14 @@ def test_mixture_kl_sample_count_must_be_an_integer(mc_samples):
     as one draw per component."""
     with pytest.raises(InvalidInput, match="mc_samples"):
         divergence_gmm(DivergenceSpec("kl"), _UNIT, _UNIT, np.random.default_rng(0), mc_samples)
+
+
+@pytest.mark.parametrize("kind", ["rbf", "laplace"])
+def test_infinite_kernel_bandwidth_is_rejected(kind):
+    # an infinite bandwidth flattens the kernel: the rbf closed form read 0.0
+    # at every residual, so any fit scored as exact
+    with pytest.raises(InvalidInput, match="finite and positive"):
+        DivergenceSpec(kind, float("inf"))
 
 
 def test_spec_defaults_are_the_bandwidth_and_order_one():

@@ -194,26 +194,22 @@ def test_tabular_collect_frequencies():
 
 
 def test_dpi_gamma_zero_equals_sampling_law():
-    mdp = tabular_make_random(1, 1, 1, np.random.default_rng(15), gamma=0.0)
-    pts = estimate_dpi_tabular(mdp, Policy.uniform(1, 1), Policy.uniform(1, 1), 50,
-                               np.random.default_rng(16))
-    assert pts == [(0, 0)] * 50
+    setup = np.random.default_rng(15)
+    mdp = tabular_make_random(3, 2, 1, setup, gamma=0.0)
+    behavior = _policy("random", 3, 2, setup)
+    weights = estimate_dpi_tabular(mdp, behavior, Policy.uniform(3, 2))
+    assert weights == {(s, a): behavior.probs[s, a] / 3 for s, a in mdp.pairs()}
 
 
 def test_dpi_absorbing_chain_analytic():
-    """Both states feed state 1, so the final state is 0 only when the
-    geometric horizon equals 1 and the uniform start picked state 0."""
-    gamma = 0.5
+    """Both states feed state 1, so the chain is at state 0 only at step 0,
+    and only when the uniform start picked it: weight (1 - gamma) / 2."""
     from fdeval.bellman import TabularMDP
 
     transitions = {(0, 0): ((1.0, 0.0, 1),), (1, 0): ((1.0, 0.0, 1),)}
-    mdp = TabularMDP(2, 1, transitions, gamma)
+    mdp = TabularMDP(2, 1, transitions, 0.5)
     behavior = Policy.uniform(2, 1)
-    rng = np.random.default_rng(17)
-    pts = estimate_dpi_tabular(mdp, behavior, behavior, 200_000, rng)
-    states = np.array([s for s, _ in pts])
-    expected = 0.5 * (1.0 - gamma)  # P(start = 0) * P(H = 1)
-    assert np.mean(states == 0) == pytest.approx(expected, abs=0.005)
+    assert estimate_dpi_tabular(mdp, behavior, behavior) == {(0, 0): 0.25, (1, 0): 0.75}
 
 
 def _tabular_collect_choice(mdp, behavior, n, rng):
@@ -231,21 +227,55 @@ def _tabular_collect_choice(mdp, behavior, n, rng):
     return Dataset(states, actions, rewards, next_states)
 
 
+def _draw_actions(policy, states, rng):
+    """One action per state by Generator.choice, one call per state value."""
+    actions = np.empty(len(states), dtype=int)
+    for s in range(policy.probs.shape[0]):
+        on = states == s
+        actions[on] = rng.choice(policy.probs.shape[1], p=policy.probs[s], size=on.sum())
+    return actions
+
+
 def _estimate_dpi_tabular_choice(mdp, behavior, pi, n_points, rng):
-    """Reference for estimate_dpi_tabular: one Generator.choice call per draw."""
-    out = []
-    for _ in range(n_points):
-        h = 1 if mdp.gamma == 0 else int(rng.geometric(1.0 - mdp.gamma))
-        s = int(rng.integers(0, mdp.n_states))
-        a = int(rng.choice(mdp.n_actions, p=behavior.probs[s]))
-        for _ in range(h - 1):
-            branches = mdp.transitions[(s, a)]
-            probs = np.array([b[0] for b in branches])
-            j = rng.choice(len(branches), p=probs)
-            s = branches[j][2]
-            a = int(rng.choice(mdp.n_actions, p=pi.probs[s]))
-        out.append((s, a))
-    return out
+    """Monte-Carlo reference for estimate_dpi_tabular: the end pairs'
+    frequencies over n_points chains.  Each chain draws a horizon
+    H ~ Geometric(1 - gamma) on {1, 2, ...}, starts from uniform states x
+    behavior and follows pi for H - 1 steps; a step draws by
+    Generator.choice, once per pair for the chains that stand on it."""
+    steps = (np.zeros(n_points, dtype=int) if mdp.gamma == 0
+             else rng.geometric(1.0 - mdp.gamma, size=n_points) - 1)
+    states = rng.integers(0, mdp.n_states, size=n_points)
+    actions = _draw_actions(behavior, states, rng)
+    for t in range(steps.max()):
+        live = steps > t
+        pair = states * mdp.n_actions + actions
+        for i, sa in enumerate(mdp.pairs()):
+            on = live & (pair == i)
+            branches = mdp.transitions[sa]
+            j = rng.choice(len(branches), p=[b[0] for b in branches], size=on.sum())
+            states[on] = np.array([b[2] for b in branches])[j]
+        actions[live] = _draw_actions(pi, states[live], rng)
+    counts = np.bincount(states * mdp.n_actions + actions, minlength=len(mdp.pairs()))
+    return dict(zip(mdp.pairs(), counts / n_points))
+
+
+def _occupancy_series(mdp, behavior, pi, horizon):
+    """Reference for estimate_dpi_tabular: the truncated series
+    sum over h < horizon of (1 - gamma) gamma^h nu0 P_pi^h, with P_pi built
+    pair by pair from the raw transitions."""
+    pairs = mdp.pairs()
+    index = {sa: i for i, sa in enumerate(pairs)}
+    p_pi = np.zeros((len(pairs), len(pairs)))
+    for sa in pairs:
+        for p, _, s_next in mdp.transitions[sa]:
+            for a_next in range(mdp.n_actions):
+                p_pi[index[sa], index[(s_next, a_next)]] += p * pi.probs[s_next, a_next]
+    term = np.array([behavior.probs[s, a] / mdp.n_states for s, a in pairs])
+    total = np.zeros(len(pairs))
+    for _ in range(horizon):
+        total += (1.0 - mdp.gamma) * term
+        term = mdp.gamma * (term @ p_pi)
+    return dict(zip(pairs, total))
 
 
 def _policy(kind, n_states, n_actions, rng):
@@ -263,19 +293,14 @@ def _policy(kind, n_states, n_actions, rng):
     n_actions=st.integers(1, 3),
     gamma=st.sampled_from((0.0, 1e-9, 0.5, 0.9)),
     behavior_kind=st.sampled_from(("uniform", "deterministic", "random")),
-    pi_kind=st.sampled_from(("uniform", "deterministic", "random")),
 )
-@example(seed=0, n_states=1, n_actions=1, gamma=0.9, behavior_kind="uniform", pi_kind="uniform")
-@example(seed=1, n_states=3, n_actions=2, gamma=1e-9, behavior_kind="deterministic",
-         pi_kind="deterministic")
-def test_tabular_samplers_match_generator_choice(
-    seed, n_states, n_actions, gamma, behavior_kind, pi_kind
-):
+@example(seed=0, n_states=1, n_actions=1, gamma=0.9, behavior_kind="uniform")
+@example(seed=1, n_states=3, n_actions=2, gamma=1e-9, behavior_kind="deterministic")
+def test_tabular_samplers_match_generator_choice(seed, n_states, n_actions, gamma, behavior_kind):
     """Same draws, and the same generator state afterwards, as rng.choice."""
     setup = np.random.default_rng(seed)
     mdp = tabular_make_random(n_states, n_actions, 2, setup, gamma=gamma)
     behavior = _policy(behavior_kind, n_states, n_actions, setup)
-    pi = _policy(pi_kind, n_states, n_actions, setup)
     rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     data = tabular_collect(mdp, behavior, 200, rng)
     ref = _tabular_collect_choice(mdp, behavior, 200, ref_rng)
@@ -283,10 +308,42 @@ def test_tabular_samplers_match_generator_choice(
         out, want = getattr(data, name), getattr(ref, name)
         assert np.array_equal(out, want) and out.dtype == want.dtype
     assert rng.random() == ref_rng.random()
-    pts = estimate_dpi_tabular(mdp, behavior, pi, 100, rng)
-    assert pts == _estimate_dpi_tabular_choice(mdp, behavior, pi, 100, ref_rng)
-    assert all(type(s) is int and type(a) is int for s, a in pts)
-    assert rng.random() == ref_rng.random()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_states=st.integers(1, 4),
+    n_actions=st.integers(1, 3),
+    gamma=st.sampled_from((0.0, 1e-9, 0.5, 0.9)),
+    behavior_kind=st.sampled_from(("uniform", "deterministic", "random")),
+    pi_kind=st.sampled_from(("uniform", "deterministic", "random")),
+)
+def test_dpi_tabular_matches_the_truncated_series(
+    seed, n_states, n_actions, gamma, behavior_kind, pi_kind
+):
+    setup = np.random.default_rng(seed)
+    mdp = tabular_make_random(n_states, n_actions, 2, setup, gamma=gamma)
+    behavior = _policy(behavior_kind, n_states, n_actions, setup)
+    pi = _policy(pi_kind, n_states, n_actions, setup)
+    weights = estimate_dpi_tabular(mdp, behavior, pi)
+    assert list(weights) == mdp.pairs()
+    assert all(type(w) is float for w in weights.values())
+    # 0.9^400 is below 1e-18
+    assert weights == pytest.approx(_occupancy_series(mdp, behavior, pi, 400), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("kind", ["uniform", "deterministic", "random"])
+def test_dpi_tabular_matches_sampled_chains(kind, gamma):
+    """Within 5 standard errors of the frequencies of 2 x 10^5 sampled chains."""
+    setup = np.random.default_rng(19)
+    mdp = tabular_make_random(3, 2, 2, setup, gamma=gamma)
+    behavior, pi = (_policy(kind, 3, 2, setup) for _ in range(2))
+    n_points = 200_000
+    freq = _estimate_dpi_tabular_choice(mdp, behavior, pi, n_points, np.random.default_rng(20))
+    for sa, w in estimate_dpi_tabular(mdp, behavior, pi).items():
+        assert abs(freq[sa] - w) <= 5.0 * np.sqrt(w * (1.0 - w) / n_points), sa
 
 
 def test_dpi_lqr_shapes_and_decay():

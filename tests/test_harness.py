@@ -45,7 +45,6 @@ def test_config_validation():
         dict(b_samples=0),
         dict(n_list=(60, 0)),
         dict(dpi_points=0),
-        dict(experiment="tabular", dpi_points=0),
         dict(experiment="tabular", tabular_states=0),
         dict(experiment="tabular", tabular_actions=0),
         dict(experiment="tabular", tabular_gamma=0.0),
@@ -74,10 +73,11 @@ def test_counts_must_be_integers(setting):
         ExperimentConfig(**setting)
 
 
-@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan")])
+@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("key", ["sigma_rbf", "sigma_lap"])
 def test_kernel_bandwidths_must_be_positive(key, value):
-    # such a bandwidth used to pass and turn every rbf or laplace cell into a NaN row
+    # such a bandwidth used to pass and turn every rbf or laplace cell into a
+    # NaN row; an infinite one gave ok rows of the least-squares fit
     with pytest.raises(InvalidInput, match=key):
         ExperimentConfig(**{key: value})
 
@@ -92,6 +92,7 @@ def test_kernel_bandwidths_must_be_positive(key, value):
         ("lqr", dict(tabular_states=3)),
         ("lqr", dict(tabular_actions=3)),
         ("lqr", dict(tabular_gamma=0.5)),
+        ("tabular", dict(dpi_points=1000)),  # the tabular occupancy is exact
     ],
 )
 def test_settings_the_experiment_never_reads_are_rejected(experiment, setting):
@@ -115,6 +116,8 @@ def test_small_sweep_and_csv(tmp_path):
     meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
     assert meta["config"]["master_seed"] == 0
     assert meta["config"]["c_divide"] == 5.0
+    assert meta["config"]["dpi_points"] == 1000
+    assert meta["dpi_scheme"].startswith("geometric-horizon occupancy sample")
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path):
@@ -168,7 +171,6 @@ def test_rows_count_folds_whose_optimizer_exit_failed(tmp_path, monkeypatch):
 def test_tabular_cells_ignore_method_label():
     config = ExperimentConfig(
         experiment="tabular", methods=("kl", "energy"), n_list=(200,), reps=1,
-        dpi_points=100,
     )
     reports = run_experiment(config)
     assert reports[0].inaccuracy == pytest.approx(reports[1].inaccuracy, abs=1e-12)
@@ -240,9 +242,10 @@ def test_unread_setting_is_rejected_even_at_its_default(tmp_path):
         build_config(str(cfg))
     # unset, each experiment fills in the settings it reads
     lqr, tabular = ExperimentConfig(), ExperimentConfig(experiment="tabular")
-    assert (lqr.sigma_rbf, lqr.sigma_lap, lqr.b_samples, lqr.tabular_states) == (1.0, 1.0, 1, None)
+    assert (lqr.sigma_rbf, lqr.sigma_lap, lqr.b_samples, lqr.dpi_points) == (1.0, 1.0, 1, 1000)
+    assert lqr.tabular_states is None
     assert (tabular.tabular_states, tabular.tabular_actions, tabular.tabular_gamma) == (4, 2, 0.9)
-    assert tabular.sigma_rbf is None
+    assert (tabular.sigma_rbf, tabular.dpi_points) == (None, None)
 
 
 @pytest.mark.parametrize("flags", [["--n", "3x"], ["--reps", "x"], ["--seed", "1.5"]])
@@ -320,7 +323,7 @@ def test_readme_config_examples_load(tmp_path):
 _PERTURB_BASE = {
     "lqr": dict(methods=("rbf", "laplace", "fle"), n_list=(60,), reps=1, dpi_points=100,
                 sigma_rbf=1.0, c_divide=20.0),
-    "tabular": dict(methods=("kl",), n_list=(60,), reps=1, dpi_points=100,
+    "tabular": dict(methods=("kl",), n_list=(60,), reps=1,
                     tabular_states=2, tabular_actions=1, tabular_gamma=0.9),
 }
 _PERTURBED = dict(
@@ -427,8 +430,8 @@ def test_cli_rejects_zero_dpi_points_before_running(tmp_path, capsys):
     cfg = tmp_path / "dpi0.ini"
     cfg.write_text("[experiment]\ndpi_points = 0\n")
     out = tmp_path / "dpi0.csv"
-    code = main(["run-tabular", "--config", str(cfg), "--n", "60", "--reps", "1",
-                 "--out", str(out)])
+    code = main(["run-lqr", "--config", str(cfg), "--methods", "kl", "--n", "60",
+                 "--reps", "1", "--out", str(out)])
     assert code == 1
     assert "dpi_points" in capsys.readouterr().err
     assert not out.exists()
@@ -446,6 +449,9 @@ def test_cli_run_tabular_instance_flags(tmp_path, capsys):
     assert "wrote 1 rows" in capsys.readouterr().out
     meta = _meta_config(out)
     assert (meta["tabular_states"], meta["tabular_actions"], meta["tabular_gamma"]) == (1, 2, 0.5)
+    assert meta["dpi_points"] is None
+    scheme = json.loads(out.with_name(out.name + ".meta.json").read_text())["dpi_scheme"]
+    assert scheme.startswith("exact discounted occupancy")
 
 
 def test_config_file_tabular_section(tmp_path, capsys):
@@ -579,7 +585,7 @@ def test_runtime_ms_covers_the_whole_cell(monkeypatch):
     # at n = 3 the rule asks for T = 5 folds, so that row fails after collection
     lqr = run_experiment(ExperimentConfig(methods=("kl",), n_list=(3, 60), reps=1))
     tabular = run_experiment(ExperimentConfig(
-        experiment="tabular", methods=("kl",), n_list=(60,), reps=1, dpi_points=100,
+        experiment="tabular", methods=("kl",), n_list=(60,), reps=1,
         tabular_states=2, tabular_actions=1,
     ))
     assert [r.failed for r in lqr + tabular] == [True, False, False]

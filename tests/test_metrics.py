@@ -140,6 +140,13 @@ def test_metric_extension_index_mismatch():
         metric_extension(metric, ExtensionSpec("supremum"), t1, t2)
 
 
+@pytest.mark.parametrize("ext", [ExtensionSpec("supremum"), ExtensionSpec("expectation")])
+def test_metric_extension_rejects_an_empty_index_set(ext):
+    # used to escape as ValueError (supremum) or ZeroDivisionError (expectation)
+    with pytest.raises(InvalidInput, match="nonempty index set"):
+        metric_extension(MetricSpec("wasserstein"), ext, {}, {})
+
+
 def test_contraction_factor_values():
     w1 = MetricSpec("wasserstein", p=1.0)
     assert contraction_factor(w1, ExtensionSpec("supremum"), 0.9) == pytest.approx(0.9)
