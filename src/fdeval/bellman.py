@@ -5,11 +5,12 @@ The operator is exact on finite supports and merges duplicate atoms;
 because supports grow multiplicatively, an optional grid projection keeps
 long runs tractable.  Each backup is built in one pass: ``backup_mixture``
 concatenates the shifted, scaled atoms of every (sample, action) term into
-one Atomic, which compaction then merges.  The fixed-point solve projects
-onto a lattice derived from the MDP (the categorical projection of Rowland
-et al. 2018), iterates that linear map on dense pmfs, ends with one exact
-step, and measures each change on the lattice, where W1 is the grid step
-times the summed |CDF difference|.
+one Atomic, which compaction then merges.  On a lattice derived from the MDP
+(the categorical projection of Rowland et al. 2018) one step is a linear
+map on dense (pair, lattice index) pmfs, under branch weights: the fold
+fits take one per fold under its empirical weights, and the fixed-point
+solve iterates it under the MDP's, ends with one exact step, and measures
+each change on the lattice as the grid step times the summed |CDF gap|.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ def _is_index(i, n: int) -> bool:
     return integral and 0 <= i < n
 
 
-def _check_counts(**counts) -> None:
+def _check_counts(low: int = 1, **counts) -> None:
     for name, n in counts.items():
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise InvalidInput(f"{name} must be an integer >= 1, got {n!r}")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
+            raise InvalidInput(f"{name} must be an integer >= {low}, got {n!r}")
 
 
 # what a transition row can fail, in the order its checks run
@@ -107,8 +108,8 @@ class TabularMDP:
 
     def __post_init__(self):
         _check_counts(n_states=self.n_states, n_actions=self.n_actions)
-        if not 0 <= self.gamma < 1:
-            raise InvalidInput(f"gamma must lie in [0, 1), got {self.gamma}")
+        if not (_is_real(self.gamma) and 0 <= self.gamma < 1):
+            raise InvalidInput(f"gamma must lie in [0, 1), got {self.gamma!r}")
         extra = set(self.transitions) - set(self.pairs())
         if extra:
             raise InvalidInput(f"transition keys {sorted(map(repr, extra))} are not pairs of the MDP")
@@ -296,35 +297,53 @@ def _on_window(table: ReturnTable, lo: int, width: int, grid: float) -> np.ndarr
     return np.array(rows)
 
 
+def _branch_weights(mdp: TabularMDP, s, a, r, s_next, weight=None):
+    """The MDP's distinct rewards in branch order, the lattice operator's
+    reward axis; and the summed weight of the branches (s, a, r, s_next), 1
+    each by default, at row pair (s, a) and column j * n_states + s_next, r
+    the j-th reward: one bincount in branch order.  A branch off the MDP is
+    an error."""
+    rewards = np.array(list(dict.fromkeys(b[1] for row in mdp.branches.values() for b in row)), dtype=float)
+    order = np.argsort(rewards, kind="stable")
+    j = order[np.searchsorted(rewards, r, sorter=order).clip(max=rewards.size - 1)]
+    s, a, s_next = index = np.array([s, a, s_next])
+    in_range = (0 <= index) & (index < np.array([[mdp.n_states], [mdp.n_actions], [mdp.n_states]]))
+    if index.dtype.kind not in "iu" or not in_range.all() or not np.array_equal(rewards[j], r):
+        raise InvalidInput("branches must hold state and action indices and rewards of the MDP")
+    n_cols = rewards.size * mdp.n_states
+    cell = ((s * mdp.n_actions + a) * rewards.size + j) * mdp.n_states + s_next
+    return rewards, np.bincount(cell, weight, n_cols * len(mdp.branches)).reshape(-1, n_cols).astype(float)
+
+
 def _lattice_operator(mdp: TabularMDP, pi: Policy, grid: float):
     """apply_bellman on the lattice grid * Z, as a map on (pair, index) pmfs.
 
     A step mixes each state's action rows by pi; shifts each mixture by each
     distinct reward r, splitting the mass at index k between floor(f) and the
     index above, f = (r + gamma * k * grid) / grid, as compact_atoms does;
-    weights the shifted rows by each pair's branch probabilities; and
-    rescales each row to sum to 1.  Returns the lattice window's lowest index,
-    its width and the step.  A window of more than _DENSE_ENTRIES (pair,
-    index) entries is an error.
+    weights the shifted rows by branch weights, the MDP's probabilities
+    unless ``step(pmfs, weights)`` takes others from _branch_weights, and
+    rescales each row to sum to 1, but for a row of zero weights, which
+    keeps its pmf.  Returns the lattice window's lowest index, its width
+    and the step.  A window of more than _DENSE_ENTRIES (pair, index)
+    entries is an error.
     """
     n_states, n_pairs = mdp.n_states, mdp.n_states * mdp.n_actions
-    rewards = list(dict.fromkeys(r for row in mdp.branches.values() for _, r, _ in row))
+    branches = [(s, a, r, s_next, p) for (s, a), row in mdp.branches.items() for p, r, s_next in row]
+    rewards, mdp_weights = _branch_weights(mdp, *zip(*branches))
     # Reward r sends index k to floor(r / grid + gamma * k) and the index above,
     # so [lo, hi] holds its own images once it holds the map's fixed interval
     # [y, x] / (1 - gamma), x and y the largest and smallest r / grid, with
     # x / (1 - gamma) < hi.  Widened by 1 / (1 - gamma) + 1e-6 steps on each side,
     # then rounded inward, it has over gamma + 1e-6 (1 - gamma) steps to spare for
     # rounding.  With 0, the start, added it spans ~1e4 + 2 / (1 - gamma) bins.
-    x, y = max(rewards) / grid, min(rewards) / grid
+    # Any weights mix these images, so the window holds every fold fit too.
+    x, y = rewards.max() / grid, rewards.min() / grid
     lo = min(0, int(np.ceil((y - 1.0) / (1.0 - mdp.gamma) - 1e-6)))
     hi = max(0, int(np.floor((x + 1.0) / (1.0 - mdp.gamma) + 1e-6)))
-    width, n_rewards = hi - lo + 1, len(rewards)
+    width, n_rewards = hi - lo + 1, rewards.size
     if n_pairs * width > _DENSE_ENTRIES:
         raise InvalidInput(f"a lattice window of {n_pairs} x {width} entries exceeds {_DENSE_ENTRIES}")
-    branch_weights = {r: np.zeros((n_pairs, n_states)) for r in rewards}  # (pair, next state)
-    for i, row in enumerate(mdp.branches.values()):
-        for p, r, s_next in row:
-            branch_weights[r][i, s_next] += p
     lattice = np.arange(lo, hi + 1) * grid
     rows, masses = [], []
     for j, r in enumerate(rewards):
@@ -340,15 +359,24 @@ def _lattice_operator(mdp: TabularMDP, pi: Policy, grid: float):
         (np.concatenate(masses), (np.concatenate(rows), np.tile(np.arange(width), 2 * n_rewards))),
         shape=(width * n_rewards, width),
     )
-    weights = np.hstack(list(branch_weights.values()))
     mix = pi.probs / pi.probs.sum(axis=1, keepdims=True)
 
-    def step(pmfs: np.ndarray) -> np.ndarray:
+    def step(pmfs: np.ndarray, weights: np.ndarray = mdp_weights) -> np.ndarray:
         mixed = np.einsum("sak,sa->sk", pmfs.reshape(n_states, mdp.n_actions, width), mix)
         out = weights @ (shift @ mixed.T).reshape(width, n_rewards * n_states).T
-        return out / out.sum(axis=1, keepdims=True)
+        total = out.sum(axis=1, keepdims=True)
+        kept = total[:, 0] == 0
+        out[kept], total[kept] = pmfs[kept], 1.0
+        return out / total
 
     return lo, width, step
+
+
+def _to_table(mdp: TabularMDP, pmfs: np.ndarray, lo: int, grid: float) -> ReturnTable:
+    """(pair, index) pmf rows over the window from index lo as a return
+    table of their atoms of positive mass."""
+    support = (np.flatnonzero(row) for row in pmfs)
+    return {sa: Atomic._owned((k + lo) * grid, row[k]) for sa, row, k in zip(mdp.pairs(), pmfs, support)}
 
 
 def _solve_on_lattice(mdp: TabularMDP, pi: Policy, grid: float, tol: float, max_iters: int):
@@ -366,11 +394,7 @@ def _solve_on_lattice(mdp: TabularMDP, pi: Policy, grid: float, tol: float, max_
         nxt = step(pmfs)
         residual = float(_lattice_w1(nxt - pmfs, grid).max())
         if residual <= tol:
-            table = {}
-            for sa, row in zip(mdp.pairs(), pmfs):
-                k = np.flatnonzero(row)
-                table[sa] = Atomic._owned((k + lo) * grid, row[k])
-            table = apply_bellman(table, mdp, pi, grid=grid)
+            table = apply_bellman(_to_table(mdp, pmfs, lo, grid), mdp, pi, grid=grid)
             nxt = _on_window(table, lo, width, grid)
             residual = float(_lattice_w1(nxt - pmfs, grid).max())
             if residual <= tol:
@@ -411,3 +435,22 @@ def lattice_step(mdp: TabularMDP) -> float:
     if not 0 < grid < np.inf:  # a span that overflows, or so small its grid underflows
         raise InvalidInput(f"the lattice step 1e-4 * span must be finite and positive, got {grid}")
     return grid
+
+
+def fit_folds(folds, mdp: TabularMDP, pi: Policy) -> ReturnTable:
+    """FDE's nonparametric fold fits on a tabular MDP, from the zero table.
+
+    Fit t of each pair that fold t covers is the empirical mixture of the
+    pi-backups under fit t - 1 of the pair's records (s, a, r, s_next),
+    projected onto the lattice of lattice_step(mdp) as apply_bellman
+    projects: one lattice step under the fold's record counts.  A pair that
+    the fold does not cover keeps its law.  A record off the MDP is an error.
+    """
+    _check_policy(mdp, pi)
+    grid = lattice_step(mdp)
+    lo, width, step = _lattice_operator(mdp, pi, grid)
+    pmfs = np.zeros((mdp.n_states * mdp.n_actions, width))
+    pmfs[:, -lo] = 1.0
+    for fold in folds:
+        pmfs = step(pmfs, _branch_weights(mdp, fold.states, fold.actions, fold.rewards, fold.next_states)[1])
+    return _to_table(mdp, pmfs, lo, grid)

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .envs import LQREnv, lqr_true_params
-from .errors import FdevalError
+from .errors import FdevalError, InvalidInput
 from .harness import SETTINGS, build_config, parse_setting, run_experiment, write_reports
 from .suites import run_property_suite
 
@@ -49,6 +50,9 @@ def _run_sweep(args, experiment: str) -> int:
         if getattr(args, name, None) is not None
     }
     config = build_config(args.config, experiment=experiment, **flags)
+    folder = os.path.dirname(config.output_path) or "."
+    if os.path.isdir(config.output_path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise InvalidInput(f"cannot write to {config.output_path!r}: a directory, or not in a writable one")
     reports = run_experiment(config)
     path = write_reports(reports, config)
     print(f"wrote {len(reports)} rows to {path}")
@@ -64,17 +68,8 @@ def _check(args) -> int:
 def _truth_lqr() -> int:
     env = LQREnv.default()
     theta = lqr_true_params(env)
-    print(
-        json.dumps(
-            {
-                "m1": theta.m1.tolist(),
-                "m2": theta.m2.tolist(),
-                "m3": theta.m3.tolist(),
-                "return_variance": env.return_variance,
-            },
-            indent=2,
-        )
-    )
+    blocks = {name: getattr(theta, name).tolist() for name in ("m1", "m2", "m3")}
+    print(json.dumps({**blocks, "return_variance": env.return_variance}, indent=2))
     return 0
 
 

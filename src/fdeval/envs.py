@@ -8,7 +8,7 @@ point rather than a simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -208,10 +208,7 @@ def parameter_bellman_map(env: LQREnv, theta: LQRTheta) -> LQRTheta:
 
 def _parameter_map_linear_part(env: LQREnv) -> np.ndarray:
     """12x12 matrix L of the affine parameter Bellman map theta -> L theta + T(0)."""
-    zero_env = LQREnv(
-        env.a_mat, env.b_mat, np.zeros((2, 2)), np.zeros((2, 2)), env.k_gain,
-        env.sigma0, env.gamma,
-    )
+    zero_env = replace(env, q_mat=np.zeros((2, 2)), r_mat=np.zeros((2, 2)))
     return np.column_stack(
         [parameter_bellman_map(zero_env, LQRTheta.from_vector(e)).to_vector() for e in np.eye(12)]
     )
@@ -232,9 +229,8 @@ def lqr_rollout_return_mean(env: LQREnv, x0: np.ndarray, a0: np.ndarray, horizon
     total = 0.0
     x, a = np.asarray(x0, dtype=float), np.asarray(a0, dtype=float)
     for t in range(horizon):
-        r, x_next = env.step(x, a)
+        r, x = env.step(x, a)
         total += env.gamma**t * r
-        x = x_next
         a = env.k_gain @ x
     return total
 
@@ -259,18 +255,12 @@ def tabular_make_random(
     """Random MDP: Dirichlet-uniform rows over (reward, next-state) branches."""
     _check_counts(n_states=n_states, n_actions=n_actions, reward_support_size=reward_support_size)
     rewards = rng.uniform(0.0, 1.0, size=reward_support_size)
+    branches = [(float(r), sp) for sp in range(n_states) for r in rewards]
     transitions = {}
     for s in range(n_states):
         for a in range(n_actions):
-            n_branches = n_states * reward_support_size
-            probs = rng.dirichlet(np.ones(n_branches))
-            branches = []
-            i = 0
-            for sp in range(n_states):
-                for r in rewards:
-                    branches.append((float(probs[i]), float(r), sp))
-                    i += 1
-            transitions[(s, a)] = tuple(branches)
+            probs = rng.dirichlet(np.ones(len(branches)))
+            transitions[(s, a)] = tuple((float(p), r, sp) for p, (r, sp) in zip(probs, branches))
     return TabularMDP(n_states, n_actions, transitions, gamma)
 
 

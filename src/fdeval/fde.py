@@ -202,9 +202,7 @@ def _run_iterations(data: Dataset, env: LQREnv, spec: DivergenceSpec, t_count: i
     """
     folds = split_dataset(data, t_count)
     theta_vec = LQRTheta.zero().to_vector()
-    objective_values = []
-    warm_start_values = []
-    not_converged_folds = []
+    objective_values, warm_start_values, not_converged_folds = [], [], []
     for t, fold in enumerate(folds, start=1):
         problem = targets(_FoldProblem.from_fold(fold, env, LQRTheta.from_vector(theta_vec)))
         theta_vec, obj, start_obj, converged = _minimize_fold(problem, spec, theta_vec, t)

@@ -19,10 +19,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .bellman import (
-    Policy, _check_counts, backup_mixture, compact_atoms, lattice_step, solve_return_fixed_point,
-    zero_table,
-)
+from .bellman import Policy, _check_counts, _is_real, fit_folds, solve_return_fixed_point
+from .bellman import compact_atoms  # noqa: F401  unused here; perfbench's trace test reads it
 from .divergences import FDE_METHODS, DivergenceSpec
 from .envs import (
     LQREnv,
@@ -136,6 +134,7 @@ class ExperimentConfig:
             raise InvalidInput("n_list must be nonempty")
         counts = ("reps", "workers", "dpi_points", "b_samples", "tabular_states", "tabular_actions")
         _check_counts(**{k: getattr(self, k) for k in counts if getattr(self, k) is not None})
+        _check_counts(0, master_seed=self.master_seed)
         for n in self.n_list:
             _check_counts(n=n)
         unknown = set(self.methods) - set(LQR_METHODS)
@@ -145,14 +144,17 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise InvalidInput(f"{name} repeats an entry: {values}")
-        if self.tabular_gamma is not None and not 0 < self.tabular_gamma < 1:
-            raise InvalidInput(f"tabular_gamma must lie in (0, 1), got {self.tabular_gamma}")
-        for name in ("sigma_rbf", "sigma_lap"):
+        # each float setting is a real number in its range, NaN excluded
+        for name, text, holds in (
+            ("c_divide", "> 0", lambda v: v > 0),
+            ("sigma_rbf", "finite and > 0", lambda v: 0 < v < math.inf),
+            ("sigma_lap", "finite and > 0", lambda v: 0 < v < math.inf),
+            ("tabular_gamma", "in (0, 1)", lambda v: 0 < v < 1),
+        ):
             value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:  # NaN included
-                raise InvalidInput(f"{name} must be finite and > 0, got {value}")
-        if not self.c_divide > 0:  # NaN included
-            raise InvalidInput(f"c_divide must be > 0, got {self.c_divide}")
+            unread = value is None and SETTINGS[name].reader is not None
+            if not unread and (isinstance(value, bool) or not _is_real(value) or not holds(value)):
+                raise InvalidInput(f"{name} must be a real number {text}, got {value!r}")
 
 
 def _cell_seed(config: ExperimentConfig, rep: int, n: int, *tags) -> np.random.SeedSequence:
@@ -183,26 +185,6 @@ def _lqr_cell(config: ExperimentConfig, method: str, n: int, rep: int, t_count: 
     return inaccuracy, len(trace.not_converged_folds)
 
 
-def _tabular_fde(data, mdp, pi, t_count):
-    """Nonparametric fold fits: each covered pair becomes the empirical
-    mixture of its sample backups, compacted on the truth's lattice step;
-    uncovered pairs carry over."""
-    folds = split_dataset(data, t_count)
-    grid = lattice_step(mdp)
-    table = zero_table(mdp)
-    for fold in folds:
-        fitted = dict(table)
-        by_pair = {}
-        for s, a, r, sp in zip(fold.states, fold.actions, fold.rewards, fold.next_states):
-            by_pair.setdefault((int(s), int(a)), []).append((float(r), int(sp)))
-        for sa, obs in by_pair.items():
-            w = 1.0 / len(obs)
-            backups = backup_mixture([(w, r, sp) for r, sp in obs], table, pi, mdp.gamma)
-            fitted[sa] = compact_atoms(backups, grid=grid)
-        table = fitted
-    return table
-
-
 def _tabular_cell(config: ExperimentConfig, method: str, n: int, rep: int, t_count: int):
     """The cell's inaccuracy, and 0: the nonparametric fit runs no optimizer."""
     inst_rng = np.random.default_rng(_cell_seed(config, rep, n, _TAG_INSTANCE))
@@ -212,7 +194,7 @@ def _tabular_cell(config: ExperimentConfig, method: str, n: int, rep: int, t_cou
     behavior = Policy.uniform(mdp.n_states, mdp.n_actions)
     pi = Policy.uniform(mdp.n_states, mdp.n_actions)
     data = tabular_collect(mdp, behavior, n, np.random.default_rng(_cell_seed(config, rep, n, _TAG_DATA)))
-    table = _tabular_fde(data, mdp, pi, t_count)
+    table = fit_folds(split_dataset(data, t_count), mdp, pi)
     truth = solve_return_fixed_point(mdp, pi)
     return tabular_inaccuracy(table, truth, estimate_dpi_tabular(mdp, behavior, pi)), 0
 
@@ -256,24 +238,23 @@ def run_experiment(config: ExperimentConfig) -> list:
 
 def write_reports(reports, config: ExperimentConfig) -> str:
     """Write the CSV plus a JSON metadata sidecar to the configured output
-    path; returns that path."""
+    path; returns that path.  A write that fails is InvalidInput."""
     path = config.output_path
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in reports:
-            writer.writerow(
-                [r.method, r.n, r.rep, r.seed, r.t_used,
-                 "nan" if r.failed else repr(r.inaccuracy),
-                 f"{r.runtime_ms:.3f}", int(r.failed), r.not_converged]
-            )
-    meta = {
-        "version": __version__,
-        "config": asdict(config),
-        "dpi_scheme": _DPI_SCHEMES[config.experiment],
-    }
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    meta = {"version": __version__, "config": asdict(config), "dpi_scheme": _DPI_SCHEMES[config.experiment]}
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
+            for r in reports:
+                writer.writerow(
+                    [r.method, r.n, r.rep, r.seed, r.t_used,
+                     "nan" if r.failed else repr(r.inaccuracy),
+                     f"{r.runtime_ms:.3f}", int(r.failed), r.not_converged]
+                )
+        with open(path + ".meta.json", "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write the reports: {exc}") from exc
     return path
 
 

@@ -116,12 +116,10 @@ def _shift_gmm(g: GaussianMixture1D, dz: float) -> GaussianMixture1D:
 
 
 def _reweight_gmm(g: GaussianMixture1D, rng: np.random.Generator) -> GaussianMixture1D:
-    comps = list(g.components)
-    w = np.array([c[0] for c in comps])
-    tilt = rng.dirichlet(np.ones(len(comps)))
-    w = 0.5 * w + 0.5 * tilt
+    w = np.array([c[0] for c in g.components])
+    w = 0.5 * w + 0.5 * rng.dirichlet(np.ones(w.size))
     w = w / w.sum()
-    return GaussianMixture1D(tuple((float(wi), m, v) for wi, (_, m, v) in zip(w, comps)))
+    return GaussianMixture1D(tuple((float(wi), m, v) for wi, (_, m, v) in zip(w, g.components)))
 
 
 def minimizer_suite(seed: int, mc_samples: int = 4000) -> dict:
@@ -202,19 +200,15 @@ def slc_suite(seed: int, trials: int = 200) -> dict:
     }
     violations = []
     for name, metric in metrics.items():
-        report = slc_property_check(metric, trials, rng)
-        for v in report["violations"]:
-            violations.append(dict(v, metric=name))
+        violations += [dict(v, metric=name) for v in slc_property_check(metric, trials, rng)["violations"]]
     # negative control: Wasserstein-1 does not satisfy scale exponent c = 2
     control = slc_property_check(
         MetricSpec("wasserstein", p=1.0), trials, np.random.default_rng(seed + 1),
         c_override=2.0,
     )
-    control_scale = [v for v in control["violations"] if v["property"] == "scale"]
-    control_ok = len(control_scale) >= 1
-    passed = not violations and control_ok
+    control_ok = any(v["property"] == "scale" for v in control["violations"])
     return {"suite": "slc", "trials": trials * len(metrics), "violations": violations,
-            "control_detected": control_ok, "passed": passed}
+            "control_detected": control_ok, "passed": not violations and control_ok}
 
 
 def _mc_divergence(spec, mu1, v1, mu2, v2, n, rng):
@@ -409,6 +403,5 @@ def run_property_suite(suite: str, seed: int = 0) -> dict:
     """Execute one named suite; see the individual suite functions."""
     if suite not in _SUITES:
         raise InvalidInput(f"unknown property suite {suite!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidInput(f"seed must be an integer >= 0, got {seed!r}")
+    _check_counts(0, seed=seed)
     return _SUITES[suite](seed)

@@ -1,5 +1,6 @@
 """Tests for the exact tabular distributional Bellman machinery."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -79,6 +80,10 @@ def test_mdp_validation():
         TabularMDP(1, 1, {}, 0.9)  # missing row
     with pytest.raises(InvalidInput):
         single_loop_mdp(gamma=1.0)
+    # a string or None discount used to raise a bare TypeError
+    for gamma in ("0.5", None):
+        with pytest.raises(InvalidInput, match="gamma"):
+            single_loop_mdp(gamma=gamma)
     # a next state outside the MDP used to pass, and a NaN reward failed
     # only later, inside a backup, as "atom locations must be finite";
     # a float or bool equal to a state index is not an index either
@@ -470,7 +475,7 @@ def _apply_bellman_composed(table, mdp, pi, grid=None):
 
 
 def _tabular_fde_composed(data, mdp, pi, t_count):
-    """Reference for harness._tabular_fde: the empirical mixture of each
+    """Reference for bellman.fit_folds: the empirical mixture of each
     covered pair's composed sample backups, on the truth's lattice step."""
     table = zero_table(mdp)
     for fold in split_dataset(data, t_count):
@@ -541,20 +546,6 @@ def test_bellman_backup_matches_the_composed_backup_bitwise():
     ref = _bellman_backup_composed(0.7, 0, table, pi, 0.9)
     assert out.locations.tobytes() == ref.locations.tobytes()
     assert out.masses.tobytes() == ref.masses.tobytes()
-
-
-def test_tabular_fold_fit_matches_the_composed_backup_bitwise():
-    from fdeval.fde import choose_t
-    from fdeval.harness import _tabular_fde
-
-    rng = np.random.default_rng(5)
-    mdp = tabular_make_random(2, 2, 2, rng, gamma=0.9)
-    pi = Policy(np.array([[0.3, 0.7], [1.0, 0.0]]))
-    data = tabular_collect(mdp, Policy.uniform(2, 2), 300, rng)
-    t_count = choose_t(300, mdp.gamma)
-    _assert_tables_bitwise_equal(
-        _tabular_fde(data, mdp, pi, t_count), _tabular_fde_composed(data, mdp, pi, t_count)
-    )
 
 
 # --- the lattice residual against the supremum extension of W1 ------------
@@ -924,6 +915,52 @@ def test_a_window_past_the_dense_limit_is_rejected(monkeypatch):
     with pytest.raises(InvalidInput, match="lattice window of 4 x"):
         solve_return_fixed_point(_random(2, 2, 0.5, 3), Policy.uniform(2, 2))
     assert not applied
+
+
+# --- the lattice fold fits against the composed backups ------------------
+
+
+def _assert_fold_fit_matches_the_composed_backup(data, mdp, pi, t_count):
+    """The lattice fit differs from the composed one in summation order only."""
+    table = bellman.fit_folds(split_dataset(data, t_count), mdp, pi)
+    ref = _tabular_fde_composed(data, mdp, pi, t_count)
+    assert table.keys() == ref.keys()
+    assert sup_w1(table, ref) <= 1e-13 * (1.0 + _solve_grid(mdp)[1])
+
+
+def test_tabular_fold_fit_matches_the_composed_backup():
+    from fdeval.fde import choose_t
+
+    rng = np.random.default_rng(5)
+    mdp = tabular_make_random(2, 2, 2, rng, gamma=0.9)
+    pi = Policy(np.array([[0.3, 0.7], [1.0, 0.0]]))
+    data = tabular_collect(mdp, Policy.uniform(2, 2), 300, rng)
+    _assert_fold_fit_matches_the_composed_backup(data, mdp, pi, choose_t(300, mdp.gamma))
+
+
+# a few records over several folds leave pairs uncovered, in some folds or
+# in all of them; an uncovered pair keeps its law without a 0 / 0
+@settings(max_examples=40, deadline=None)
+@given(case=_solve_cases(), n=st.integers(1, 40), t_count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(case=(_random(3, 2, 0.9, 1), Policy([[1.0, 0.0], [0.3, 0.7], [0.0, 1.0]])), n=3, t_count=2, seed=0)
+def test_fold_fit_on_small_mdps_matches_the_composed_backup(case, n, t_count, seed):
+    mdp, pi = case
+    rng = np.random.default_rng(seed)
+    data = tabular_collect(mdp, Policy.uniform(mdp.n_states, mdp.n_actions), n, rng)
+    _assert_fold_fit_matches_the_composed_backup(data, mdp, pi, min(t_count, n))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rewards", 0.123), ("states", 2), ("actions", -1), ("next_states", 2),
+])
+def test_fold_fit_rejects_records_off_the_mdp(field, value):
+    mdp = _random(2, 2, 0.9, 0)
+    data = tabular_collect(mdp, Policy.uniform(2, 2), 10, np.random.default_rng(0))
+    column = getattr(data, field).copy()
+    column[3] = value
+    data = dataclasses.replace(data, **{field: column})
+    with pytest.raises(InvalidInput):
+        bellman.fit_folds(split_dataset(data, 2), mdp, Policy.uniform(2, 2))
 
 
 # --- the truth's own error --------------------------------------------------

@@ -53,6 +53,21 @@ def test_config_validation():
     ):
         with pytest.raises(InvalidInput):
             ExperimentConfig(**bad)
+    # a negative seed used to pass and fail in SeedSequence, outside any
+    # cell; a float or bool seed is no integer either
+    for seed in (-1, 1.5, True):
+        with pytest.raises(InvalidInput, match="master_seed"):
+            ExperimentConfig(master_seed=seed)
+    # each of these used to raise a bare TypeError from a comparison
+    for key, bad in (
+        ("sigma_rbf", dict(sigma_rbf="1")),
+        ("sigma_lap", dict(sigma_lap=b"1")),
+        ("tabular_gamma", dict(experiment="tabular", tabular_gamma="0.5")),
+        ("c_divide", dict(c_divide=None)),
+        ("c_divide", dict(c_divide=True)),
+    ):
+        with pytest.raises(InvalidInput, match=key):
+            ExperimentConfig(**bad)
 
 
 # each float used to pass the config and abort run_experiment with a
@@ -423,6 +438,32 @@ def test_cli_rejects_repeated_labels_or_sizes(tmp_path, capsys, flags):
 
 def test_every_config_field_is_one_setting():
     assert set(SETTINGS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def test_cli_rejects_a_negative_seed_before_running(tmp_path, capsys):
+    # it used to end in a SeedSequence ValueError traceback
+    out = tmp_path / "seed.csv"
+    code = main(["run-lqr", "--seed", "-1", "--methods", "kl", "--n", "60", "--reps", "1", "--out", str(out)])
+    assert code == 1
+    assert re.search(r"error: .*master_seed", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_rejects_an_unwritable_out_before_running(tmp_path, capsys, monkeypatch):
+    # an --out in a missing directory used to run the whole sweep, then lose
+    # every row to a FileNotFoundError traceback
+    monkeypatch.setattr(harness, "_run_cell", lambda cell: pytest.fail("a cell ran"))
+    for out in (tmp_path / "missing" / "rows.csv", tmp_path):
+        code = main(["run-tabular", "--methods", "kl", "--n", "60", "--reps", "1", "--out", str(out)])
+        assert code == 1
+        assert f"error: cannot write to {str(out)!r}" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_write_reports_turns_a_failed_write_into_invalid_input(tmp_path):
+    config = ExperimentConfig(output_path=str(tmp_path / "missing" / "rows.csv"))
+    with pytest.raises(InvalidInput, match="cannot write the reports"):
+        write_reports([], config)
 
 
 def test_cli_rejects_zero_dpi_points_before_running(tmp_path, capsys):
